@@ -13,10 +13,10 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import blocks
 from .blocks import (
     AffineStep,
     AvgPoolStep,
@@ -33,6 +33,8 @@ from .blocks import (
     Residual,
     ResizeToInputStep,
     UpsampleStep,
+    iter_prims,
+    param_shapes,
 )
 from .netdef import NetworkSpec, expand_layer, spatial_divisor
 from .tensorops import ShapeError
@@ -113,6 +115,14 @@ def _conv_out(size: int, k_eff: int, stride: int, pad: int, what: str) -> int:
     return out
 
 
+def _learned_params(prim) -> int:
+    """Learned parameters of one step; BN running statistics are buffers."""
+    return sum(
+        math.prod(shape) for suffix, shape in param_shapes(prim)
+        if suffix not in ("mean", "var")
+    )
+
+
 def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
     """Advance (shape, rf) through a node, accumulating params/macs."""
     c, h, w = shape
@@ -155,6 +165,7 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
         merged.rf_w = max(merged.rf_w, rf.rf_w)
         return (c + out[0], h, w), merged
 
+    acc.params += _learned_params(node)
     if isinstance(node, ConvStep):
         if c != node.in_ch:
             raise ShapeError(
@@ -164,9 +175,6 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
         ekw = effective_kernel(node.kw, node.dilation)
         oh = _conv_out(h, ekh, node.stride, node.pad_h, node.name)
         ow = _conv_out(w, ekw, node.stride, node.pad_w, node.name)
-        acc.params += node.kh * node.kw * node.in_ch * node.out_ch
-        if node.bias:
-            acc.params += node.out_ch
         acc.macs += node.kh * node.kw * node.in_ch * node.out_ch * oh * ow
         if node.dilation > 1:
             acc.note_dilated(max(ekh, ekw))
@@ -179,9 +187,6 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
             )
         oh = (h - 1) * node.stride + node.k
         ow = (w - 1) * node.stride + node.k
-        acc.params += node.k * node.k * node.in_ch * node.out_ch
-        if node.bias:
-            acc.params += node.out_ch
         acc.macs += node.k * node.k * node.in_ch * node.out_ch * h * w
         rf.grow(node.k, node.k, Fraction(1, node.stride), Fraction(1, node.stride))
         return (node.out_ch, oh, ow), rf
@@ -190,7 +195,6 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
             raise ShapeError(
                 f"{node.name}: expects {node.channels} channels, got {c}"
             )
-        acc.params += 2 * node.channels
         acc.macs += node.channels * h * w
         return shape, rf
     if isinstance(node, (ReluStep, DropoutStep)):
@@ -280,20 +284,11 @@ def trace_shapes(net: NetworkSpec, input_shape: tuple = (3, 512, 1024)) -> list:
 
 def count_params(net: NetworkSpec) -> int:
     """Total learned parameters (BN running statistics excluded)."""
-    total = 0
-    for layer in net.layers:
-        for prim in blocks.iter_prims(expand_layer(layer)):
-            if isinstance(prim, ConvStep):
-                total += prim.kh * prim.kw * prim.in_ch * prim.out_ch
-                if prim.bias:
-                    total += prim.out_ch
-            elif isinstance(prim, DeconvStep):
-                total += prim.k * prim.k * prim.in_ch * prim.out_ch
-                if prim.bias:
-                    total += prim.out_ch
-            elif isinstance(prim, (BnStep, AffineStep)):
-                total += 2 * prim.channels
-    return total
+    return sum(
+        _learned_params(prim)
+        for layer in net.layers
+        for prim in iter_prims(expand_layer(layer))
+    )
 
 
 def count_multiply_adds(net: NetworkSpec, input_shape: tuple = (3, 512, 1024)) -> int:

@@ -4,7 +4,9 @@ Each constructor expands one architectural block (dense asymmetric module,
 non-asymmetric variant, residual module, downsampling block, spatial pyramid,
 projection) into a tree of primitive steps.  The tree is what the analyzer
 walks and the executor interprets; its leaves carry the names under which
-weights live in a WeightStore (``<block>.<step>.<param>``).
+weights live in a WeightStore (``<block>.<step>.<param>``).  ``param_shapes``
+lists the tensors each leaf reads, and ``fold_bn`` rewrites a tree into its
+BN-folded form.
 
 Structure nodes:
 
@@ -18,8 +20,8 @@ Structure nodes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Union
 
 __all__ = [
     "BlockSpec",
@@ -39,6 +41,9 @@ __all__ = [
     "Residual",
     "DenseConcat",
     "iter_prims",
+    "param_shapes",
+    "FoldError",
+    "fold_bn",
     "make_eda_module",
     "make_non_asym_module",
     "make_erf_module",
@@ -184,6 +189,98 @@ def iter_prims(node: Node) -> Iterator:
         yield node
 
 
+def param_shapes(prim) -> tuple:
+    """``(suffix, shape)`` of every weight tensor a primitive step reads,
+    in store order; the tensors live at ``<step name>.<suffix>``.  This
+    table is the one place weight names and shapes are spelled out."""
+    if isinstance(prim, BnStep):
+        return tuple((s, (prim.channels,)) for s in ("gamma", "beta", "mean", "var"))
+    if isinstance(prim, AffineStep):
+        return (("scale", (prim.channels,)), ("shift", (prim.channels,)))
+    if isinstance(prim, ConvStep):
+        w = ("w", (prim.out_ch, prim.in_ch, prim.kh, prim.kw))
+    elif isinstance(prim, DeconvStep):
+        w = ("w", (prim.out_ch, prim.in_ch, prim.k, prim.k))
+    else:
+        return ()
+    return (w, ("b", (prim.out_ch,))) if prim.bias else (w,)
+
+
+class FoldError(ValueError):
+    """BN folding is impossible for the given structure."""
+
+
+def _no_merge(step, conv, bn, lo, hi) -> None:
+    pass
+
+
+def fold_bn(node: Node, layer_name: str, merge: Callable = _no_merge) -> Node:
+    """The BN-folded form of a step tree: a convolution followed by BN
+    becomes a biased convolution; a BN after a ``Parallel`` splits per
+    branch, and a branch without a convolution ends in an AffineStep
+    ``<layer_name>.pool_affine``.
+
+    ``merge(step, conv, bn, lo, hi)`` is called for every new step that
+    takes over channels ``lo:hi`` of ``bn``; ``conv`` is the convolution it
+    replaces, or None for an AffineStep."""
+    if isinstance(node, Chain):
+        out: list = []
+        prev = None
+        for step in node.steps:
+            if not isinstance(step, BnStep):
+                out.append(fold_bn(step, layer_name, merge))
+            elif isinstance(prev, (ConvStep, DeconvStep)):
+                out[-1] = _absorb(prev, step, 0, merge)
+            elif isinstance(prev, Parallel):
+                out[-1] = _split(prev, step, layer_name, merge)
+            else:
+                raise FoldError(
+                    f"{step.name}: batch norm without a directly preceding convolution"
+                )
+            prev = step
+        return Chain(out)
+    if isinstance(node, Parallel):
+        return Parallel([fold_bn(b, layer_name, merge) for b in node.branches])
+    if isinstance(node, (Residual, DenseConcat)):
+        return type(node)(fold_bn(node.body, layer_name, merge))
+    return node
+
+
+def _absorb(conv, bn: BnStep, lo: int, merge: Callable):
+    folded = replace(conv, bias=True)
+    merge(folded, conv, bn, lo, lo + conv.out_ch)
+    return folded
+
+
+def _split(par: Parallel, bn: BnStep, layer_name: str, merge: Callable) -> Parallel:
+    """A BN after a concat splits per channel slice: a branch ending in its
+    only convolution absorbs its slice, a convolution-free branch keeps
+    its slice as scale+shift."""
+    convs = [
+        [p for p in iter_prims(b) if isinstance(p, (ConvStep, DeconvStep))]
+        for b in par.branches
+    ]
+    in_width = next((c[0].in_ch for c in convs if c), None)
+    if in_width is None:
+        raise FoldError(f"{bn.name}: no convolution branch to absorb the fold")
+    branches, lo = [], 0
+    for branch, found in zip(par.branches, convs):
+        if not isinstance(branch, Chain) or (
+            found and (len(found) > 1 or branch.steps[-1] is not found[0])
+        ):
+            raise FoldError(f"{bn.name}: unsupported branch structure for folding")
+        if found:
+            conv = _absorb(found[0], bn, lo, merge)
+            branches.append(Chain(branch.steps[:-1] + (conv,)))
+            lo += conv.out_ch
+        else:
+            affine = AffineStep(f"{layer_name}.pool_affine", in_width)
+            merge(affine, None, bn, lo, lo + in_width)
+            branches.append(Chain(branch.steps + (affine,)))
+            lo += in_width
+    return Parallel(branches)
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """Validated hyperparameters of one composite block."""
@@ -229,127 +326,99 @@ def _conv_bn_relu(
     kw: int,
     stride: int = 1,
     dilation: int = 1,
-    folded: bool = False,
 ) -> list:
     """Post-activation composite: conv, BN, ReLU.  The BN absorbs the conv
     bias, so the conv is biasless until folding rewrites it."""
     pad_h, pad_w = _same_pad(kh, kw, dilation)
     conv = ConvStep(
         f"{name}.{conv_tag}", in_ch, out_ch, kh, kw,
-        stride=stride, dilation=dilation, pad_h=pad_h, pad_w=pad_w, bias=folded,
+        stride=stride, dilation=dilation, pad_h=pad_h, pad_w=pad_w,
     )
-    if folded:
-        return [conv, ReluStep()]
     return [conv, BnStep(f"{name}.{bn_tag}", out_ch), ReluStep()]
 
 
-def make_eda_module(
-    in_ch: int, growth: int, dilation: int, name: str = "eda", folded: bool = False
-) -> Node:
+def make_eda_module(in_ch: int, growth: int, dilation: int, name: str = "eda") -> Node:
     """Dense module: 1x1 reduction to the growth width, two asymmetric
     pairs (3x1 then 1x3), dilation on the second pair only, and channel
     concatenation of the module input with the new features."""
     BlockSpec("eda", in_ch, in_ch + growth, growth=growth, dilation=dilation)
     g = growth
     steps = (
-        _conv_bn_relu(name, "conv1x1", "bn1", in_ch, g, 1, 1, folded=folded)
-        + _conv_bn_relu(name, "conv3x1a", "bn2", g, g, 3, 1, folded=folded)
-        + _conv_bn_relu(name, "conv1x3a", "bn3", g, g, 1, 3, folded=folded)
-        + _conv_bn_relu(name, "conv3x1b", "bn4", g, g, 3, 1, dilation=dilation, folded=folded)
-        + _conv_bn_relu(name, "conv1x3b", "bn5", g, g, 1, 3, dilation=dilation, folded=folded)
+        _conv_bn_relu(name, "conv1x1", "bn1", in_ch, g, 1, 1)
+        + _conv_bn_relu(name, "conv3x1a", "bn2", g, g, 3, 1)
+        + _conv_bn_relu(name, "conv1x3a", "bn3", g, g, 1, 3)
+        + _conv_bn_relu(name, "conv3x1b", "bn4", g, g, 3, 1, dilation=dilation)
+        + _conv_bn_relu(name, "conv1x3b", "bn5", g, g, 1, 3, dilation=dilation)
         + [DropoutStep(DROPOUT_RATE)]
     )
     return DenseConcat(Chain(steps))
 
 
-def make_non_asym_module(
-    in_ch: int, growth: int, dilation: int, name: str = "eda_na", folded: bool = False
-) -> Node:
+def make_non_asym_module(in_ch: int, growth: int, dilation: int, name: str = "eda_na") -> Node:
     """Dense module variant with the asymmetric pairs replaced by two full
     3x3 convolutions (the second dilated)."""
     BlockSpec("eda_non_asym", in_ch, in_ch + growth, growth=growth, dilation=dilation)
     g = growth
     steps = (
-        _conv_bn_relu(name, "conv1x1", "bn1", in_ch, g, 1, 1, folded=folded)
-        + _conv_bn_relu(name, "conv3x3a", "bn2", g, g, 3, 3, folded=folded)
-        + _conv_bn_relu(name, "conv3x3b", "bn3", g, g, 3, 3, dilation=dilation, folded=folded)
+        _conv_bn_relu(name, "conv1x1", "bn1", in_ch, g, 1, 1)
+        + _conv_bn_relu(name, "conv3x3a", "bn2", g, g, 3, 3)
+        + _conv_bn_relu(name, "conv3x3b", "bn3", g, g, 3, 3, dilation=dilation)
         + [DropoutStep(DROPOUT_RATE)]
     )
     return DenseConcat(Chain(steps))
 
 
-def make_erf_module(
-    width: int, dilation: int, name: str = "erf", folded: bool = False
-) -> Node:
+def make_erf_module(width: int, dilation: int, name: str = "erf") -> Node:
     """Residual module at constant width: two asymmetric pairs, no
     point-wise reduction, input added to the output, ReLU after the add."""
     BlockSpec("erf", width, width, dilation=dilation)
     steps = (
-        _conv_bn_relu(name, "conv3x1a", "bn1", width, width, 3, 1, folded=folded)
-        + _conv_bn_relu(name, "conv1x3a", "bn2", width, width, 1, 3, folded=folded)
-        + _conv_bn_relu(name, "conv3x1b", "bn3", width, width, 3, 1, dilation=dilation, folded=folded)
-        + _conv_bn_relu(name, "conv1x3b", "bn4", width, width, 1, 3, dilation=dilation, folded=folded)
+        _conv_bn_relu(name, "conv3x1a", "bn1", width, width, 3, 1)
+        + _conv_bn_relu(name, "conv1x3a", "bn2", width, width, 1, 3)
+        + _conv_bn_relu(name, "conv3x1b", "bn3", width, width, 3, 1, dilation=dilation)
+        + _conv_bn_relu(name, "conv1x3b", "bn4", width, width, 1, 3, dilation=dilation)
         + [DropoutStep(DROPOUT_RATE)]
     )
     return Chain([Residual(Chain(steps)), ReluStep()])
 
 
-def make_downsampling_block(
-    in_ch: int, out_ch: int, name: str = "down", folded: bool = False
-) -> Node:
+def make_downsampling_block(in_ch: int, out_ch: int, name: str = "down") -> Node:
     """Stride-2 stage.  Widening blocks run a 3x3/stride-2 convolution with
     out_ch - in_ch filters in parallel with a 2x2 max-pool and concatenate;
     narrowing blocks are a single 3x3/stride-2 convolution.  BN+ReLU apply
     once, after the merge."""
     BlockSpec("downsample", in_ch, out_ch)
     if out_ch < in_ch:
-        conv = ConvStep(
-            f"{name}.conv", in_ch, out_ch, 3, 3,
-            stride=2, pad_h=1, pad_w=1, bias=folded,
-        )
-        if folded:
-            return Chain([conv, ReluStep()])
+        conv = ConvStep(f"{name}.conv", in_ch, out_ch, 3, 3, stride=2, pad_h=1, pad_w=1)
         return Chain([conv, BnStep(f"{name}.bn", out_ch), ReluStep()])
     conv = ConvStep(
-        f"{name}.conv", in_ch, out_ch - in_ch, 3, 3,
-        stride=2, pad_h=1, pad_w=1, bias=folded,
+        f"{name}.conv", in_ch, out_ch - in_ch, 3, 3, stride=2, pad_h=1, pad_w=1
     )
-    pool: list = [MaxPoolStep(2, 2)]
-    if folded:
-        # The post-concat BN is per-channel, so it splits across the concat:
-        # the conv branch absorbs its slice, the pool branch keeps its slice
-        # as an explicit scale+shift.
-        pool.append(AffineStep(f"{name}.pool_affine", in_ch))
-        return Chain([Parallel([Chain([conv]), Chain(pool)]), ReluStep()])
     return Chain([
-        Parallel([Chain([conv]), Chain(pool)]),
+        Parallel([Chain([conv]), Chain([MaxPoolStep(2, 2)])]),
         BnStep(f"{name}.bn", out_ch),
         ReluStep(),
     ])
 
 
-def make_aspp(
-    in_ch: int, branch_ch: int, name: str = "aspp", folded: bool = False
-) -> Node:
+def make_aspp(in_ch: int, branch_ch: int, name: str = "aspp") -> Node:
     """Spatial pyramid: 1x1 conv, three 3x3 convs at dilations 6/12/18, and
     an image-pooling branch (global average pool, 1x1 conv, bilinear resize
     back), concatenated and fused by a 1x1 conv."""
     if in_ch < 1 or branch_ch < 1:
         raise ValueError("aspp: channel counts must be >= 1")
     branches = [
-        Chain(_conv_bn_relu(name, "b1_conv1x1", "b1_bn", in_ch, branch_ch, 1, 1, folded=folded)),
-        Chain(_conv_bn_relu(name, "b2_conv3x3", "b2_bn", in_ch, branch_ch, 3, 3, dilation=6, folded=folded)),
-        Chain(_conv_bn_relu(name, "b3_conv3x3", "b3_bn", in_ch, branch_ch, 3, 3, dilation=12, folded=folded)),
-        Chain(_conv_bn_relu(name, "b4_conv3x3", "b4_bn", in_ch, branch_ch, 3, 3, dilation=18, folded=folded)),
+        Chain(_conv_bn_relu(name, "b1_conv1x1", "b1_bn", in_ch, branch_ch, 1, 1)),
+        Chain(_conv_bn_relu(name, "b2_conv3x3", "b2_bn", in_ch, branch_ch, 3, 3, dilation=6)),
+        Chain(_conv_bn_relu(name, "b3_conv3x3", "b3_bn", in_ch, branch_ch, 3, 3, dilation=12)),
+        Chain(_conv_bn_relu(name, "b4_conv3x3", "b4_bn", in_ch, branch_ch, 3, 3, dilation=18)),
         Chain(
             [GlobalAvgPoolStep()]
-            + _conv_bn_relu(name, "b5_conv1x1", "b5_bn", in_ch, branch_ch, 1, 1, folded=folded)
+            + _conv_bn_relu(name, "b5_conv1x1", "b5_bn", in_ch, branch_ch, 1, 1)
             + [ResizeToInputStep()]
         ),
     ]
-    fuse = _conv_bn_relu(
-        name, "fuse_conv1x1", "fuse_bn", 5 * branch_ch, branch_ch, 1, 1, folded=folded
-    )
+    fuse = _conv_bn_relu(name, "fuse_conv1x1", "fuse_bn", 5 * branch_ch, branch_ch, 1, 1)
     return Chain([Parallel(branches)] + fuse)
 
 

@@ -82,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palette", default=None,
                    help="palette text file (one 'r g b' line per class)")
     p.add_argument("--fold", action="store_true",
-                   help="fold BN into convolutions before running")
+                   help="fold BN into convolutions once, before the first run")
     p.add_argument("--bench", type=int, default=0, metavar="N",
-                   help="report mean wall-clock over N extra runs")
+                   help="report mean wall-clock over N extra runs (folding excluded)")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("fold", help="persist a BN-folded network + weights")
@@ -149,7 +149,10 @@ def cmd_infer(args) -> int:
     net = netdef.parse_netspec(_read_text(args.net))
     store = runtime.load_weights(args.weights)
     image = imageio.read_ppm(_read_bytes(args.image))
-    labels = runtime.infer_image(net, store, image, fold=args.fold)
+    if args.fold:
+        folded = runtime.fold_batch_norm(net, store)
+        net, store = folded.net, folded.weights
+    labels = runtime.infer_image(net, store, image)
     _write_bytes(args.out, imageio.write_pgm(labels))
     if args.color:
         if args.palette:
@@ -160,7 +163,7 @@ def cmd_infer(args) -> int:
     if args.bench > 0:
         start = time.perf_counter()
         for _ in range(args.bench):
-            runtime.infer_image(net, store, image, fold=args.fold)
+            runtime.infer_image(net, store, image)
         mean = (time.perf_counter() - start) / args.bench
         print(f"bench: mean {mean:.3f}s over {args.bench} runs")
     return EXIT_OK

@@ -121,7 +121,22 @@ class NetworkSpec:
 _REQUIRED = object()
 
 _BOOL = ("bool", lambda s: {"0": False, "1": True}[s], lambda v: "1" if v else "0")
-_INT = ("int", int, str)
+
+
+def _int_at_least(lo: int) -> tuple:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise ValueError(text)
+        return value
+
+    return (f"int >= {lo}", parse, str)
+
+
+# pads may be zero; every other integer (channels, kernel sizes, strides,
+# dilations, factors) must be positive, or shapes divide by zero later
+_INT = _int_at_least(1)
+_PAD = _int_at_least(0)
 
 # kind -> ordered (text key, attribute, codec, default)
 _KIND_KEYS = {
@@ -133,8 +148,8 @@ _KIND_KEYS = {
         ("kw", "kw", _INT, _REQUIRED),
         ("stride", "stride", _INT, 1),
         ("dilation", "dilation", _INT, 1),
-        ("pad_h", "pad_h", _INT, 0),
-        ("pad_w", "pad_w", _INT, 0),
+        ("pad_h", "pad_h", _PAD, 0),
+        ("pad_w", "pad_w", _PAD, 0),
         ("bn", "bn", _BOOL, True),
         ("act", "act", _BOOL, True),
     ),
@@ -151,7 +166,7 @@ _KIND_KEYS = {
         ("name", "name", None, _REQUIRED),
         ("k", "k", _INT, _REQUIRED),
         ("stride", "stride", _INT, _REQUIRED),
-        ("pad", "pad", _INT, 0),
+        ("pad", "pad", _PAD, 0),
     ),
     "avgpool": (
         ("name", "name", None, _REQUIRED),
@@ -521,9 +536,9 @@ def _parse_header(tokens, line_no: int):
 
 def _parse_int(value: str, key: str, line_no: int, col: int) -> int:
     try:
-        return int(value)
+        return _INT[1](value)
     except ValueError:
-        raise NetspecError(f"{key} expects an integer, got {value!r}", line_no, col)
+        raise NetspecError(f"{key} expects {_INT[0]}, got {value!r}", line_no, col)
 
 
 def _parse_size(value: str, line_no: int, col: int) -> tuple:
@@ -574,7 +589,13 @@ def _parse_layer_fields(kind: str, tokens, line_no: int) -> dict:
 # lowering to primitive steps
 
 def expand_layer(layer: LayerSpec) -> Node:
-    """Lower one layer spec to its primitive-step tree."""
+    """Lower one layer spec to its primitive-step tree; a folded layer
+    lowers to the BN-fold rewrite of its unfolded tree."""
+    node = _unfolded_tree(layer)
+    return blocks.fold_bn(node, layer.name) if layer.folded else node
+
+
+def _unfolded_tree(layer: LayerSpec) -> Node:
     kind, name = layer.kind, layer.name
     if kind == "conv":
         steps: list = [ConvStep(
@@ -602,25 +623,15 @@ def expand_layer(layer: LayerSpec) -> Node:
     if kind == "avgpool":
         return Chain([AvgPoolStep(layer.k, layer.stride)])
     if kind == "eda":
-        return blocks.make_eda_module(
-            layer.in_ch, layer.growth, layer.dilation, name=name, folded=layer.folded
-        )
+        return blocks.make_eda_module(layer.in_ch, layer.growth, layer.dilation, name=name)
     if kind == "eda_na":
-        return blocks.make_non_asym_module(
-            layer.in_ch, layer.growth, layer.dilation, name=name, folded=layer.folded
-        )
+        return blocks.make_non_asym_module(layer.in_ch, layer.growth, layer.dilation, name=name)
     if kind == "erf":
-        return blocks.make_erf_module(
-            layer.width, layer.dilation, name=name, folded=layer.folded
-        )
+        return blocks.make_erf_module(layer.width, layer.dilation, name=name)
     if kind == "downsample":
-        return blocks.make_downsampling_block(
-            layer.in_ch, layer.out_ch, name=name, folded=layer.folded
-        )
+        return blocks.make_downsampling_block(layer.in_ch, layer.out_ch, name=name)
     if kind == "aspp":
-        return blocks.make_aspp(
-            layer.in_ch, layer.branch_ch, name=name, folded=layer.folded
-        )
+        return blocks.make_aspp(layer.in_ch, layer.branch_ch, name=name)
     if kind == "projection":
         return blocks.make_projection(layer.in_ch, layer.classes, name=name)
     if kind == "bilinear":

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import blocks
 from .blocks import (
     AffineStep,
     AvgPoolStep,
@@ -25,6 +24,7 @@ from .blocks import (
     DeconvStep,
     DenseConcat,
     DropoutStep,
+    FoldError,
     GlobalAvgPoolStep,
     MaxPoolStep,
     Parallel,
@@ -32,7 +32,9 @@ from .blocks import (
     Residual,
     ResizeToInputStep,
     UpsampleStep,
+    fold_bn,
     iter_prims,
+    param_shapes,
 )
 from .netdef import NetworkSpec, expand_layer, fold_layer, spatial_divisor
 from .tensorops import (
@@ -86,10 +88,6 @@ class WeightError(KeyError):
 
 class WeightFormatError(ValueError):
     """Corrupt or unsupported .edaw file."""
-
-
-class FoldError(ValueError):
-    """BN folding is impossible for the given structure."""
 
 
 class WeightStore:
@@ -185,30 +183,18 @@ def _draw_uniform(tensor_name: str, seed: int, shape: tuple, bound: float) -> np
     return vals.astype(np.float32).reshape(shape)
 
 
+def _param_table(net: NetworkSpec):
+    """(name, shape) of every weight the network reads, in store order."""
+    for layer in net.layers:
+        for prim in iter_prims(expand_layer(layer)):
+            for suffix, shape in param_shapes(prim):
+                yield f"{prim.name}.{suffix}", shape
+
+
 def parameter_names(net: NetworkSpec) -> list:
     """Every weight name the network consumes, in execution order; each
     appears exactly once."""
-    names = []
-    for layer in net.layers:
-        for prim in iter_prims(expand_layer(layer)):
-            if isinstance(prim, ConvStep):
-                names.append(f"{prim.name}.w")
-                if prim.bias:
-                    names.append(f"{prim.name}.b")
-            elif isinstance(prim, DeconvStep):
-                names.append(f"{prim.name}.w")
-                if prim.bias:
-                    names.append(f"{prim.name}.b")
-            elif isinstance(prim, BnStep):
-                names += [
-                    f"{prim.name}.gamma",
-                    f"{prim.name}.beta",
-                    f"{prim.name}.mean",
-                    f"{prim.name}.var",
-                ]
-            elif isinstance(prim, AffineStep):
-                names += [f"{prim.name}.scale", f"{prim.name}.shift"]
-    return names
+    return [name for name, _ in _param_table(net)]
 
 
 def init_weights(net: NetworkSpec, seed: int) -> WeightStore:
@@ -219,168 +205,65 @@ def init_weights(net: NetworkSpec, seed: int) -> WeightStore:
     the identity transform (gamma 1, beta 0, mean 0, var 1)."""
     store = WeightStore()
     seed &= _MASK64
-    for layer in net.layers:
-        for prim in iter_prims(expand_layer(layer)):
-            if isinstance(prim, ConvStep):
-                shape = (prim.out_ch, prim.in_ch, prim.kh, prim.kw)
-                bound = math.sqrt(6.0 / (prim.in_ch * prim.kh * prim.kw))
-                store[f"{prim.name}.w"] = _draw_uniform(
-                    f"{prim.name}.w", seed, shape, bound
-                )
-                if prim.bias:
-                    store[f"{prim.name}.b"] = np.zeros(prim.out_ch, np.float32)
-            elif isinstance(prim, DeconvStep):
-                shape = (prim.out_ch, prim.in_ch, prim.k, prim.k)
-                bound = math.sqrt(6.0 / (prim.in_ch * prim.k * prim.k))
-                store[f"{prim.name}.w"] = _draw_uniform(
-                    f"{prim.name}.w", seed, shape, bound
-                )
-                if prim.bias:
-                    store[f"{prim.name}.b"] = np.zeros(prim.out_ch, np.float32)
-            elif isinstance(prim, BnStep):
-                c = prim.channels
-                store[f"{prim.name}.gamma"] = np.ones(c, np.float32)
-                store[f"{prim.name}.beta"] = np.zeros(c, np.float32)
-                store[f"{prim.name}.mean"] = np.zeros(c, np.float32)
-                store[f"{prim.name}.var"] = np.ones(c, np.float32)
-            elif isinstance(prim, AffineStep):
-                c = prim.channels
-                store[f"{prim.name}.scale"] = np.ones(c, np.float32)
-                store[f"{prim.name}.shift"] = np.zeros(c, np.float32)
+    for name, shape in _param_table(net):
+        if name.endswith(".w"):
+            bound = math.sqrt(6.0 / math.prod(shape[1:]))
+            store[name] = _draw_uniform(name, seed, shape, bound)
+        else:
+            fill = np.ones if name.endswith((".gamma", ".var", ".scale")) else np.zeros
+            store[name] = fill(shape, np.float32)
     return store
 
 
 # ---------------------------------------------------------------------------
 # BN folding
 
-def _bn_scale_shift(src: WeightStore, bn: BnStep, lo: int, hi: int):
-    gamma = src[f"{bn.name}.gamma"][lo:hi]
-    beta = src[f"{bn.name}.beta"][lo:hi]
-    mean = src[f"{bn.name}.mean"][lo:hi]
-    var = src[f"{bn.name}.var"][lo:hi]
-    s = gamma / np.sqrt(var + np.float32(BN_EPS))
-    return s, beta, mean
-
-
-def _fold_conv_bn(conv, bn: BnStep, src: WeightStore, dst: WeightStore,
-                  lo: int = 0, hi: int | None = None) -> None:
-    out_ch = conv.out_ch
-    hi = out_ch + lo if hi is None else hi
-    s, beta, mean = _bn_scale_shift(src, bn, lo, hi)
-    w = src[f"{conv.name}.w"]
-    old_b = src[f"{conv.name}.b"] if conv.bias else np.zeros(out_ch, np.float32)
-    dst[f"{conv.name}.w"] = w * s[:, None, None, None]
-    dst[f"{conv.name}.b"] = s * (old_b - mean) + beta
-
-
-def _copy_prim(prim, src: WeightStore, dst: WeightStore) -> None:
-    if isinstance(prim, (ConvStep, DeconvStep)):
-        dst[f"{prim.name}.w"] = src[f"{prim.name}.w"]
-        if prim.bias:
-            dst[f"{prim.name}.b"] = src[f"{prim.name}.b"]
-    elif isinstance(prim, AffineStep):
-        dst[f"{prim.name}.scale"] = src[f"{prim.name}.scale"]
-        dst[f"{prim.name}.shift"] = src[f"{prim.name}.shift"]
-
-
-def _fold_parallel_bn(par: Parallel, bn: BnStep, src: WeightStore,
-                      dst: WeightStore, layer_name: str) -> None:
-    """A BN after a concat splits per channel slice: convolution branches
-    absorb their slice, a pooling branch keeps its slice as scale+shift."""
-    in_width = None
-    for branch in par.branches:
-        convs = [p for p in iter_prims(branch) if isinstance(p, (ConvStep, DeconvStep))]
-        if convs:
-            in_width = convs[0].in_ch
-            break
-    if in_width is None:
-        raise FoldError(f"{bn.name}: no convolution branch to absorb the fold")
-    offset = 0
-    for branch in par.branches:
-        prims = list(iter_prims(branch))
-        convs = [p for p in prims if isinstance(p, (ConvStep, DeconvStep))]
-        if convs:
-            if len(convs) != 1 or not isinstance(prims[-1], (ConvStep, DeconvStep)):
-                raise FoldError(
-                    f"{bn.name}: unsupported branch structure for folding"
-                )
-            conv = convs[0]
-            _fold_conv_bn(conv, bn, src, dst, lo=offset, hi=offset + conv.out_ch)
-            offset += conv.out_ch
-        else:
-            s, beta, mean = _bn_scale_shift(src, bn, offset, offset + in_width)
-            dst[f"{layer_name}.pool_affine.scale"] = s
-            dst[f"{layer_name}.pool_affine.shift"] = beta - s * mean
-            offset += in_width
-
-
-def _fold_node(node, src: WeightStore, dst: WeightStore, layer_name: str) -> None:
-    if isinstance(node, Chain):
-        steps = node.steps
-        i = 0
-        while i < len(steps):
-            step = steps[i]
-            nxt = steps[i + 1] if i + 1 < len(steps) else None
-            if isinstance(step, (ConvStep, DeconvStep)) and isinstance(nxt, BnStep):
-                _fold_conv_bn(step, nxt, src, dst)
-                i += 2
-                continue
-            if isinstance(step, Parallel) and isinstance(nxt, BnStep):
-                _fold_parallel_bn(step, nxt, src, dst, layer_name)
-                i += 2
-                continue
-            if isinstance(step, BnStep):
-                raise FoldError(
-                    f"{step.name}: batch norm without a directly preceding "
-                    "convolution"
-                )
-            _fold_node(step, src, dst, layer_name)
-            i += 1
-    elif isinstance(node, Parallel):
-        for branch in node.branches:
-            _fold_node(branch, src, dst, layer_name)
-    elif isinstance(node, (Residual, DenseConcat)):
-        _fold_node(node.body, src, dst, layer_name)
-    else:
-        _copy_prim(node, src, dst)
-
-
 def fold_batch_norm(net: NetworkSpec, weights: WeightStore) -> FoldedNetwork:
     """Merge every BN into its producing convolution: with
     s = gamma / sqrt(var + eps), the convolution's weights become s*w and
     its bias s*(old_bias - mean) + beta.  The returned network contains no
     BN steps and computes the same function up to float32 rounding."""
-    dst = WeightStore()
+    merged: dict = {}
+
+    def merge(step, conv, bn, lo, hi):
+        gamma, beta, mean, var = (
+            weights[f"{bn.name}.{suffix}"][lo:hi] for suffix, _ in param_shapes(bn)
+        )
+        s = gamma / np.sqrt(var + np.float32(BN_EPS))
+        if conv is None:  # scale, shift
+            values = (s, beta - s * mean)
+        else:  # w, b
+            w, *b = (weights[f"{conv.name}.{suffix}"] for suffix, _ in param_shapes(conv))
+            old_b = b[0] if b else np.zeros(conv.out_ch, np.float32)
+            values = (w * s[:, None, None, None], s * (old_b - mean) + beta)
+        for (suffix, _), value in zip(param_shapes(step), values):
+            merged[f"{step.name}.{suffix}"] = value
+
     for layer in net.layers:
-        _fold_node(expand_layer(layer), weights, dst, layer.name)
-    folded_net = NetworkSpec(
-        name=net.name,
-        classes=net.classes,
-        layers=[fold_layer(l) for l in net.layers],
-        train_size=net.train_size,
-        inference_upscale=net.inference_upscale,
-    )
-    for layer in folded_net.layers:
-        for prim in iter_prims(expand_layer(layer)):
-            if isinstance(prim, BnStep):
-                raise FoldError(f"fold left a batch norm behind: {prim.name}")
-    expected = parameter_names(folded_net)
-    if dst.names() != expected:
-        raise FoldError("folded weight names diverge from the folded network")
+        fold_bn(expand_layer(layer), layer.name, merge)
+    folded_net = replace(net, layers=[fold_layer(l) for l in net.layers])
+    dst = WeightStore()
+    for name in parameter_names(folded_net):
+        dst[name] = merged[name] if name in merged else weights[name]
     return FoldedNetwork(folded_net, dst)
 
 
 # ---------------------------------------------------------------------------
 # executor
 
-def _fetch(store: WeightStore, name: str, shape: tuple, used: list) -> np.ndarray:
-    arr = store[name]
-    if arr.shape != shape:
-        raise ShapeError(
-            f"weight {name!r} has shape {arr.shape}, expected {shape}"
-        )
-    used.append(name)
-    return arr
+def _fetch(store: WeightStore, prim, used: list) -> list:
+    """The step's weight tensors in ``param_shapes`` order, shape-checked."""
+    arrays = []
+    for suffix, shape in param_shapes(prim):
+        name = f"{prim.name}.{suffix}"
+        arr = store[name]
+        if arr.shape != shape:
+            raise ShapeError(
+                f"weight {name!r} has shape {arr.shape}, expected {shape}"
+            )
+        used.append(name)
+        arrays.append(arr)
+    return arrays
 
 
 def _eval(node, x: Tensor, store: WeightStore, used: list, ref_hw=None) -> Tensor:
@@ -400,29 +283,14 @@ def _eval(node, x: Tensor, store: WeightStore, used: list, ref_hw=None) -> Tenso
     if isinstance(node, DenseConcat):
         return concat_channels(x, _eval(node.body, x, store, used, ref_hw))
     if isinstance(node, ConvStep):
-        w = _fetch(store, f"{node.name}.w",
-                   (node.out_ch, node.in_ch, node.kh, node.kw), used)
-        b = _fetch(store, f"{node.name}.b", (node.out_ch,), used) if node.bias else None
-        return conv2d(x, Kernel(w, b), stride=node.stride, dilation=node.dilation,
-                      pad_h=node.pad_h, pad_w=node.pad_w)
+        return conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride,
+                      dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w)
     if isinstance(node, DeconvStep):
-        w = _fetch(store, f"{node.name}.w",
-                   (node.out_ch, node.in_ch, node.k, node.k), used)
-        b = _fetch(store, f"{node.name}.b", (node.out_ch,), used) if node.bias else None
-        return transposed_conv2d(x, Kernel(w, b), stride=node.stride)
+        return transposed_conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride)
     if isinstance(node, BnStep):
-        p = BnParams(
-            gamma=_fetch(store, f"{node.name}.gamma", (node.channels,), used),
-            beta=_fetch(store, f"{node.name}.beta", (node.channels,), used),
-            running_mean=_fetch(store, f"{node.name}.mean", (node.channels,), used),
-            running_var=_fetch(store, f"{node.name}.var", (node.channels,), used),
-            eps=BN_EPS,
-        )
-        return batch_norm(x, p)
+        return batch_norm(x, BnParams(*_fetch(store, node, used), eps=BN_EPS))
     if isinstance(node, AffineStep):
-        scale = _fetch(store, f"{node.name}.scale", (node.channels,), used)
-        shift = _fetch(store, f"{node.name}.shift", (node.channels,), used)
-        return channel_affine(x, scale, shift)
+        return channel_affine(x, *_fetch(store, node, used))
     if isinstance(node, ReluStep):
         return relu(x)
     if isinstance(node, DropoutStep):
@@ -539,7 +407,10 @@ def deserialize_weights(data: bytes) -> WeightStore:
     store = WeightStore()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightFormatError(f"tensor name at offset {pos - name_len} is not UTF-8") from None
         dtype, ndims = struct.unpack("<BB", take(2))
         if dtype != 0:
             raise WeightFormatError(f"unsupported dtype code {dtype}")
@@ -548,7 +419,10 @@ def deserialize_weights(data: bytes) -> WeightStore:
         for d in dims:
             n_elem *= d
         payload = take(4 * n_elem)
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+        try:
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+        except ValueError as exc:  # numpy rejects the dimension count
+            raise WeightFormatError(f"tensor {name!r}: {exc}") from None
         if name in store:
             raise WeightFormatError(f"duplicate tensor name {name!r}")
         store[name] = arr

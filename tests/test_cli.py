@@ -1,8 +1,14 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import edanet
 from edanet import netdef, runtime, tensorops
 from edanet.cli import main
 from edanet.imageio import read_pgm, read_ppm, write_ppm
@@ -122,6 +128,19 @@ class TestInfer:
                    "--bench", "1") == 0
         assert "bench: mean" in capsys.readouterr().out
 
+    def test_fold_with_bench_folds_once(self, workdir, monkeypatch, capsys):
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        run("build", "--variant", "shallow", "--out", net)
+        run("init", "--net", net, "--seed", "3", "--out", w)
+        fold, calls = runtime.fold_batch_norm, []
+        monkeypatch.setattr(runtime, "fold_batch_norm",
+                            lambda *a: calls.append(a) or fold(*a))
+        assert run("infer", "--net", net, "--weights", w, "--fold",
+                   "--image", workdir / "in.ppm", "--out", workdir / "b.pgm",
+                   "--bench", "2") == 0
+        assert len(calls) == 1
+        assert "over 2 runs" in capsys.readouterr().out
+
     def test_color_output(self, workdir):
         net, w = workdir / "net.nspec", workdir / "w.edaw"
         run("build", "--variant", "shallow", "--out", net)
@@ -190,6 +209,24 @@ class TestExitCodes:
         bad = workdir / "bad.nspec"
         bad.write_text("net name=x classes=2\neda name=m in=60\n")
         assert run("analyze", "--net", bad) == 4
+
+    @pytest.mark.parametrize("layer", [
+        "conv name=c in=3 out=8 kh=3 kw=3 stride=0",
+        "bilinear name=u factor=0",
+    ])
+    def test_zero_stride_or_factor_is_validation_error(self, workdir, layer):
+        bad = workdir / "bad.nspec"
+        bad.write_text(f"net name=x classes=2\n{layer}\n")
+        src = str(Path(edanet.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "edanet.cli", "analyze", "--net", str(bad)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert "line 2" in proc.stderr
 
     def test_wrong_image_size_is_validation_error(self, workdir, capsys):
         net, w = workdir / "net.nspec", workdir / "w.edaw"

@@ -146,6 +146,25 @@ class TestNetspecFormat:
         with pytest.raises(NetspecError, match="expects int"):
             parse_netspec("net name=demo classes=2\neda name=m in=sixty growth=40\n")
 
+    @pytest.mark.parametrize("text, where", [
+        ("conv name=c in=3 out=8 kh=3 kw=3 stride=0", "line 2, col 34: stride"),
+        ("bilinear name=u factor=0", "line 2, col 17: factor"),
+        ("maxpool name=p k=0 stride=2", "line 2, col 16: k"),
+        ("eda name=m in=60 growth=0", "line 2, col 18: growth"),
+        ("conv name=c in=3 out=8 kh=3 kw=3 pad_h=-1", "line 2, col 34: pad_h"),
+    ])
+    def test_out_of_range_integer_rejected_at_parse(self, text, where):
+        with pytest.raises(NetspecError, match=f"{where} expects int >= "):
+            parse_netspec(f"net name=demo classes=2\n{text}\n")
+
+    def test_out_of_range_header_integer_rejected(self):
+        with pytest.raises(NetspecError, match="line 1, col 15: classes expects int >= 1"):
+            parse_netspec("net name=demo classes=0\n")
+
+    def test_zero_pad_accepted(self):
+        net = parse_netspec("net name=demo classes=2\nmaxpool name=p k=3 stride=2 pad=0\n")
+        assert net.layers[0].pad == 0
+
     def test_missing_header_rejected(self):
         with pytest.raises(NetspecError, match="header"):
             parse_netspec("eda name=m in=60 growth=40\n")

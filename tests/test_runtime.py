@@ -1,16 +1,18 @@
 """Weight init, BN folding, executor, and the .edaw container format."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from edanet.blocks import BnStep, Chain
+from edanet import runtime
+from edanet.blocks import BnStep, Chain, fold_bn
 from edanet.netdef import LayerSpec, NetworkSpec, build_variant, parse_netspec, serialize_netspec
 from edanet.runtime import (
     FoldError,
     WeightError,
     WeightFormatError,
     WeightStore,
-    _fold_node,
     deserialize_weights,
     fnv1a64,
     fold_batch_norm,
@@ -166,6 +168,21 @@ class TestForward:
         with pytest.raises(ShapeError, match="divisible"):
             forward(net, store, rand_input(shape=(1, 3, 20, 32)))
 
+    def test_expands_each_layer_once_in_layer_order(self, monkeypatch):
+        """Per-layer timing from outside the package marks each layer by
+        the forward pass's call to edanet.runtime.expand_layer."""
+        net = build_variant("aspp", classes=4)
+        store = init_weights(net, seed=7)
+        expand, seen = runtime.expand_layer, []
+
+        def record(layer):
+            seen.append(layer.name)
+            return expand(layer)
+
+        monkeypatch.setattr(runtime, "expand_layer", record)
+        forward(net, store, rand_input())
+        assert seen == [layer.name for layer in net.layers]
+
 
 class TestFoldBatchNorm:
     def test_identity_bn_folds_bit_exactly(self):
@@ -240,14 +257,8 @@ class TestFoldBatchNorm:
         assert folded.weights == store
 
     def test_bn_without_conv_rejected(self):
-        src = WeightStore({
-            "x.bn.gamma": np.ones(2, np.float32),
-            "x.bn.beta": np.zeros(2, np.float32),
-            "x.bn.mean": np.zeros(2, np.float32),
-            "x.bn.var": np.ones(2, np.float32),
-        })
         with pytest.raises(FoldError, match="preceding"):
-            _fold_node(Chain([BnStep("x.bn", 2)]), src, WeightStore(), "x")
+            fold_bn(Chain([BnStep("x.bn", 2)]), "x")
 
     def test_downsample_pool_slice_becomes_affine(self):
         net = NetworkSpec("d", 2, [LayerSpec("downsample", "d", in_ch=3, out_ch=8)])
@@ -298,6 +309,19 @@ class TestWeightFile:
     def test_trailing_garbage_rejected(self):
         blob = serialize_weights(WeightStore()) + b"xx"
         with pytest.raises(WeightFormatError, match="trailing"):
+            deserialize_weights(blob)
+
+    def test_non_utf8_name_rejected(self):
+        blob = bytearray(serialize_weights(WeightStore({"ab": np.ones(1, np.float32)})))
+        blob[18:20] = b"\xff\xfe"  # the name follows the header and its u16 length
+        with pytest.raises(WeightFormatError, match="UTF-8"):
+            deserialize_weights(bytes(blob))
+
+    def test_too_many_dims_rejected(self):
+        ndims = 65  # beyond what numpy can reshape to
+        blob = (b"EDAW" + struct.pack("<III", 1, 1, 0) + struct.pack("<H", 1) + b"a"
+                + struct.pack(f"<BB{ndims}I", 0, ndims, *[1] * ndims) + bytes(4))
+        with pytest.raises(WeightFormatError, match="'a'"):
             deserialize_weights(blob)
 
     def test_scalar_and_multidim_entries(self):
