@@ -24,7 +24,6 @@ from .blocks import (
     Chain,
     ConvStep,
     DeconvStep,
-    DenseConcat,
     DropoutStep,
     GlobalAvgPoolStep,
     MaxPoolStep,
@@ -156,14 +155,6 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
         merged.rf_h = max(merged.rf_h, rf.rf_h)
         merged.rf_w = max(merged.rf_w, rf.rf_w)
         return shape, merged
-    if isinstance(node, DenseConcat):
-        out, body_rf = _walk(node.body, shape, rf.copy(), acc, ref_hw)
-        if (out[1], out[2]) != (h, w):
-            raise ShapeError("dense branch changed spatial dims")
-        merged = body_rf
-        merged.rf_h = max(merged.rf_h, rf.rf_h)
-        merged.rf_w = max(merged.rf_w, rf.rf_w)
-        return (c + out[0], h, w), merged
 
     acc.params += _learned_params(node)
     if isinstance(node, ConvStep):

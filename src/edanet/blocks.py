@@ -10,12 +10,11 @@ BN-folded form.
 
 Structure nodes:
 
-* ``Chain``        run items in sequence
-* ``Parallel``     run every branch on the same input, concatenate outputs
-                   in branch order
-* ``Residual``     add the node input to the body output
-* ``DenseConcat``  concatenate the node input (channels first) with the
-                   body output
+* ``Chain``     run items in sequence
+* ``Parallel``  run every branch on the same input, concatenate outputs in
+                branch order; dense connectivity is a ``Parallel`` whose
+                first branch is the identity ``Chain([])``
+* ``Residual``  add the node input to the body output
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Union
 
 __all__ = [
-    "BlockSpec",
     "ConvStep",
     "DeconvStep",
     "BnStep",
@@ -39,7 +37,6 @@ __all__ = [
     "Chain",
     "Parallel",
     "Residual",
-    "DenseConcat",
     "iter_prims",
     "param_shapes",
     "FoldError",
@@ -163,13 +160,8 @@ class Residual:
     body: "Node"
 
 
-@dataclass(frozen=True)
-class DenseConcat:
-    body: "Node"
-
-
 Node = Union[
-    Chain, Parallel, Residual, DenseConcat,
+    Chain, Parallel, Residual,
     ConvStep, DeconvStep, BnStep, AffineStep, ReluStep, DropoutStep,
     MaxPoolStep, AvgPoolStep, GlobalAvgPoolStep, UpsampleStep, ResizeToInputStep,
 ]
@@ -183,7 +175,7 @@ def iter_prims(node: Node) -> Iterator:
     elif isinstance(node, Parallel):
         for b in node.branches:
             yield from iter_prims(b)
-    elif isinstance(node, (Residual, DenseConcat)):
+    elif isinstance(node, Residual):
         yield from iter_prims(node.body)
     else:
         yield node
@@ -241,8 +233,8 @@ def fold_bn(node: Node, layer_name: str, merge: Callable = _no_merge) -> Node:
         return Chain(out)
     if isinstance(node, Parallel):
         return Parallel([fold_bn(b, layer_name, merge) for b in node.branches])
-    if isinstance(node, (Residual, DenseConcat)):
-        return type(node)(fold_bn(node.body, layer_name, merge))
+    if isinstance(node, Residual):
+        return Residual(fold_bn(node.body, layer_name, merge))
     return node
 
 
@@ -281,35 +273,12 @@ def _split(par: Parallel, bn: BnStep, layer_name: str, merge: Callable) -> Paral
     return Parallel(branches)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Validated hyperparameters of one composite block."""
-
-    kind: str
-    in_channels: int
-    out_channels: int
-    growth: int = 0
-    dilation: int = 1
-    dropout_rate: float = DROPOUT_RATE
-
-    def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError(f"{self.kind}: channel counts must be >= 1")
-        if self.dilation < 1:
-            raise ValueError(f"{self.kind}: dilation must be >= 1")
-        if self.kind in ("eda", "eda_non_asym"):
-            if self.growth < 1:
-                raise ValueError(f"{self.kind}: growth must be >= 1")
-            if self.out_channels != self.in_channels + self.growth:
-                raise ValueError(
-                    f"{self.kind}: out_channels must equal in_channels + growth"
-                )
-        elif self.kind == "erf":
-            if self.out_channels != self.in_channels:
-                raise ValueError("erf: residual module must preserve width")
-        elif self.kind == "downsample":
-            if self.in_channels == self.out_channels:
-                raise ValueError("downsample: in_channels == out_channels is undefined")
+def _check_counts(kind: str, **counts: int) -> None:
+    """Every channel count, growth, dilation and class count of a block
+    must be >= 1."""
+    for key, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{kind}: {key} must be >= 1, got {value}")
 
 
 def _same_pad(kh: int, kw: int, dilation: int) -> tuple[int, int]:
@@ -341,7 +310,7 @@ def make_eda_module(in_ch: int, growth: int, dilation: int, name: str = "eda") -
     """Dense module: 1x1 reduction to the growth width, two asymmetric
     pairs (3x1 then 1x3), dilation on the second pair only, and channel
     concatenation of the module input with the new features."""
-    BlockSpec("eda", in_ch, in_ch + growth, growth=growth, dilation=dilation)
+    _check_counts("eda", in_ch=in_ch, growth=growth, dilation=dilation)
     g = growth
     steps = (
         _conv_bn_relu(name, "conv1x1", "bn1", in_ch, g, 1, 1)
@@ -351,13 +320,13 @@ def make_eda_module(in_ch: int, growth: int, dilation: int, name: str = "eda") -
         + _conv_bn_relu(name, "conv1x3b", "bn5", g, g, 1, 3, dilation=dilation)
         + [DropoutStep(DROPOUT_RATE)]
     )
-    return DenseConcat(Chain(steps))
+    return Parallel([Chain([]), Chain(steps)])
 
 
 def make_non_asym_module(in_ch: int, growth: int, dilation: int, name: str = "eda_na") -> Node:
     """Dense module variant with the asymmetric pairs replaced by two full
     3x3 convolutions (the second dilated)."""
-    BlockSpec("eda_non_asym", in_ch, in_ch + growth, growth=growth, dilation=dilation)
+    _check_counts("eda_na", in_ch=in_ch, growth=growth, dilation=dilation)
     g = growth
     steps = (
         _conv_bn_relu(name, "conv1x1", "bn1", in_ch, g, 1, 1)
@@ -365,13 +334,13 @@ def make_non_asym_module(in_ch: int, growth: int, dilation: int, name: str = "ed
         + _conv_bn_relu(name, "conv3x3b", "bn3", g, g, 3, 3, dilation=dilation)
         + [DropoutStep(DROPOUT_RATE)]
     )
-    return DenseConcat(Chain(steps))
+    return Parallel([Chain([]), Chain(steps)])
 
 
 def make_erf_module(width: int, dilation: int, name: str = "erf") -> Node:
     """Residual module at constant width: two asymmetric pairs, no
     point-wise reduction, input added to the output, ReLU after the add."""
-    BlockSpec("erf", width, width, dilation=dilation)
+    _check_counts("erf", width=width, dilation=dilation)
     steps = (
         _conv_bn_relu(name, "conv3x1a", "bn1", width, width, 3, 1)
         + _conv_bn_relu(name, "conv1x3a", "bn2", width, width, 1, 3)
@@ -387,7 +356,9 @@ def make_downsampling_block(in_ch: int, out_ch: int, name: str = "down") -> Node
     out_ch - in_ch filters in parallel with a 2x2 max-pool and concatenate;
     narrowing blocks are a single 3x3/stride-2 convolution.  BN+ReLU apply
     once, after the merge."""
-    BlockSpec("downsample", in_ch, out_ch)
+    _check_counts("downsample", in_ch=in_ch, out_ch=out_ch)
+    if in_ch == out_ch:
+        raise ValueError("downsample: in_ch == out_ch is undefined")
     if out_ch < in_ch:
         conv = ConvStep(f"{name}.conv", in_ch, out_ch, 3, 3, stride=2, pad_h=1, pad_w=1)
         return Chain([conv, BnStep(f"{name}.bn", out_ch), ReluStep()])
@@ -405,8 +376,7 @@ def make_aspp(in_ch: int, branch_ch: int, name: str = "aspp") -> Node:
     """Spatial pyramid: 1x1 conv, three 3x3 convs at dilations 6/12/18, and
     an image-pooling branch (global average pool, 1x1 conv, bilinear resize
     back), concatenated and fused by a 1x1 conv."""
-    if in_ch < 1 or branch_ch < 1:
-        raise ValueError("aspp: channel counts must be >= 1")
+    _check_counts("aspp", in_ch=in_ch, branch_ch=branch_ch)
     branches = [
         Chain(_conv_bn_relu(name, "b1_conv1x1", "b1_bn", in_ch, branch_ch, 1, 1)),
         Chain(_conv_bn_relu(name, "b2_conv3x3", "b2_bn", in_ch, branch_ch, 3, 3, dilation=6)),
@@ -424,8 +394,5 @@ def make_aspp(in_ch: int, branch_ch: int, name: str = "aspp") -> Node:
 
 def make_projection(in_ch: int, classes: int, name: str = "proj") -> Node:
     """Final 1x1 convolution to class logits: biased, no BN, no ReLU."""
-    if classes < 1:
-        raise ValueError(f"classes must be >= 1, got {classes}")
-    if in_ch < 1:
-        raise ValueError(f"in_ch must be >= 1, got {in_ch}")
+    _check_counts("projection", in_ch=in_ch, classes=classes)
     return Chain([ConvStep(f"{name}.conv1x1", in_ch, classes, 1, 1, bias=True)])

@@ -8,6 +8,7 @@ primitive-step tree the analyzer and executor consume.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -237,7 +238,9 @@ def _layer_in_channels(layer: LayerSpec) -> Optional[int]:
     return layer.in_ch
 
 
-def _validate_layers(layers, lines: Optional[dict] = None) -> None:
+def _validate_layers(layers, classes: int, lines: Optional[dict] = None) -> None:
+    """Check names, the channel chain and projection placement, and lower
+    every layer, so a block's own rules fail here, not in a later pass."""
     def err(msg, layer_name):
         line = (lines or {}).get(layer_name, 0)
         raise NetspecError(msg, line=line, col=1 if line else 0)
@@ -249,6 +252,16 @@ def _validate_layers(layers, lines: Optional[dict] = None) -> None:
         seen.add(layer.name)
     current: Optional[int] = None
     for layer in layers:
+        try:
+            _lowered(layer)
+        except ValueError as exc:
+            err(f"layer {layer.name!r}: {exc}", layer.name)
+        if layer.kind == "projection" and layer.classes != classes:
+            err(
+                f"projection {layer.name!r} has {layer.classes} classes "
+                f"but the network has {classes}",
+                layer.name,
+            )
         declared = _layer_in_channels(layer)
         if declared is not None and current is not None and declared != current:
             err(
@@ -276,7 +289,7 @@ def _validate_network(net: NetworkSpec) -> None:
         raise NetspecError(f"classes must be >= 1, got {net.classes}")
     if net.inference_upscale < 1:
         raise NetspecError(f"upscale must be >= 1, got {net.inference_upscale}")
-    _validate_layers(net.layers)
+    _validate_layers(net.layers, net.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +417,6 @@ def build_variant(
     """
     if variant not in _BUILDERS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if classes < 1:
-        raise ValueError(f"classes must be >= 1, got {classes}")
     return NetworkSpec(
         name=variant,
         classes=classes,
@@ -499,7 +510,7 @@ def parse_netspec(text: str) -> NetworkSpec:
     if header is None:
         raise NetspecError("empty network description: missing header line")
     name, classes, upscale, train_size = header
-    _validate_layers(layers, layer_lines)
+    _validate_layers(layers, classes, layer_lines)
     return NetworkSpec(
         name=name,
         classes=classes,
@@ -590,7 +601,13 @@ def _parse_layer_fields(kind: str, tokens, line_no: int) -> dict:
 
 def expand_layer(layer: LayerSpec) -> Node:
     """Lower one layer spec to its primitive-step tree; a folded layer
-    lowers to the BN-fold rewrite of its unfolded tree."""
+    lowers to the BN-fold rewrite of its unfolded tree.  Each distinct spec
+    is lowered once and its (immutable) tree shared by every caller."""
+    return _lowered(layer)
+
+
+@functools.lru_cache(maxsize=1024)
+def _lowered(layer: LayerSpec) -> Node:
     node = _unfolded_tree(layer)
     return blocks.fold_bn(node, layer.name) if layer.folded else node
 
@@ -659,8 +676,6 @@ def _node_stride(node) -> int:
         return s
     if isinstance(node, blocks.Parallel):
         return _node_stride(node.branches[0])
-    if isinstance(node, (blocks.Residual, blocks.DenseConcat)):
-        return 1
     if isinstance(node, (ConvStep, MaxPoolStep, AvgPoolStep)):
         return node.stride
     return 1

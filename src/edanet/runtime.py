@@ -22,7 +22,6 @@ from .blocks import (
     Chain,
     ConvStep,
     DeconvStep,
-    DenseConcat,
     DropoutStep,
     FoldError,
     GlobalAvgPoolStep,
@@ -280,8 +279,6 @@ def _eval(node, x: Tensor, store: WeightStore, used: list, ref_hw=None) -> Tenso
         return out
     if isinstance(node, Residual):
         return add(x, _eval(node.body, x, store, used, ref_hw))
-    if isinstance(node, DenseConcat):
-        return concat_channels(x, _eval(node.body, x, store, used, ref_hw))
     if isinstance(node, ConvStep):
         return conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride,
                       dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w)
@@ -337,12 +334,9 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     return x
 
 
-def infer_image(
-    net: NetworkSpec, weights: WeightStore, image: Tensor, fold: bool = False
-) -> LabelMap:
-    """End-to-end inference: forward pass (optionally BN-folded), bilinear
-    upscale of the logits by the network's inference factor, then per-pixel
-    channel argmax."""
+def infer_image(net: NetworkSpec, weights: WeightStore, image: Tensor) -> LabelMap:
+    """End-to-end inference: forward pass, bilinear upscale of the logits
+    by the network's inference factor, then per-pixel channel argmax."""
     if image.n != 1:
         raise ShapeError(f"inference expects batch size 1, got {image.n}")
     lo, hi = float(image.data.min()), float(image.data.max())
@@ -350,9 +344,6 @@ def infer_image(
         raise ValueError(
             f"image values must lie in [0, 1], got [{lo:.4g}, {hi:.4g}]"
         )
-    if fold:
-        folded = fold_batch_norm(net, weights)
-        net, weights = folded.net, folded.weights
     logits = forward(net, weights, image)
     u = net.inference_upscale
     if u > 1:

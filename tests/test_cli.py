@@ -228,6 +228,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "line 2" in proc.stderr
 
+    def test_projection_classes_mismatch_fails_before_any_output(self, workdir, capsys):
+        bad, w = workdir / "bad.nspec", workdir / "w.edaw"
+        bad.write_text("net name=x classes=2\nprojection name=p in=3 classes=5\n")
+        runtime.save_weights(runtime.WeightStore({
+            "p.conv1x1.w": np.zeros((5, 3, 1, 1)), "p.conv1x1.b": np.zeros(5),
+        }), w)
+        seg, color = workdir / "seg.pgm", workdir / "seg.ppm"
+        assert run("infer", "--net", bad, "--weights", w, "--image", workdir / "in.ppm",
+                   "--out", seg, "--color", color) == 4
+        assert "line 2, col 1" in capsys.readouterr().err
+        assert not seg.exists() and not color.exists()
+
     def test_wrong_image_size_is_validation_error(self, workdir, capsys):
         net, w = workdir / "net.nspec", workdir / "w.edaw"
         run("build", "--variant", "shallow", "--out", net)

@@ -211,3 +211,15 @@ class TestNetworkSpecValidation:
         ]
         with pytest.raises(NetspecError):
             NetworkSpec("demo", 2, layers)
+
+    @pytest.mark.parametrize("line, layer, message", [
+        ("downsample name=d in=3 out=3",
+         LayerSpec("downsample", "d", in_ch=3, out_ch=3), "in_ch == out_ch"),
+        ("projection name=d in=3 classes=5",
+         LayerSpec("projection", "d", in_ch=3, classes=5), "5 classes but the network has 2"),
+    ])
+    def test_block_rules_checked_at_parse_and_build(self, line, layer, message):
+        with pytest.raises(NetspecError, match=f"line 2, col 1: .*'d'.*{message}"):
+            parse_netspec(f"net name=demo classes=2\n{line}\n")
+        with pytest.raises(NetspecError, match=message):
+            NetworkSpec("demo", 2, [layer])

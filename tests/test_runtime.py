@@ -5,9 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from edanet import runtime
+from edanet import blocks, netdef, runtime
+from edanet.analyzer import analyze
 from edanet.blocks import BnStep, Chain, fold_bn
-from edanet.netdef import LayerSpec, NetworkSpec, build_variant, parse_netspec, serialize_netspec
+from edanet.netdef import (
+    LayerSpec, NetworkSpec, build_variant, parse_netspec, serialize_netspec, spatial_divisor,
+)
 from edanet.runtime import (
     FoldError,
     WeightError,
@@ -183,6 +186,30 @@ class TestForward:
         forward(net, store, rand_input())
         assert seen == [layer.name for layer in net.layers]
 
+    def test_layers_lowered_once_when_built(self, monkeypatch):
+        """Lowering, BN-fold rewrite included, runs when the network is
+        built; running, analyzing and initializing it reuse the trees."""
+        net = build_variant("aspp", classes=4)
+        folded = fold_batch_norm(net, init_weights(net, seed=7))
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(netdef, "_unfolded_tree", counted(netdef._unfolded_tree))
+        monkeypatch.setattr(blocks, "fold_bn", counted(blocks.fold_bn))
+        for _ in range(2):
+            forward(folded.net, folded.weights, rand_input())
+        analyze(folded.net, SMALL_INPUT[1:])
+        init_weights(folded.net, seed=1)
+        spatial_divisor(folded.net)
+        assert calls == []
+        layer = folded.net.layers[0]  # a folded downsampler
+        assert netdef.expand_layer(layer) is netdef.expand_layer(layer)
+
 
 class TestFoldBatchNorm:
     def test_identity_bn_folds_bit_exactly(self):
@@ -344,8 +371,9 @@ class TestInferImage:
         net = build_variant("shallow", classes=19)
         store = init_weights(net, seed=10)
         x = rand_input(10)
-        plain = infer_image(net, store, x, fold=False)
-        merged = infer_image(net, store, x, fold=True)
+        plain = infer_image(net, store, x)
+        folded = fold_batch_norm(net, store)
+        merged = infer_image(folded.net, folded.weights, x)
         assert np.array_equal(plain, merged)
 
     def test_zero_weights_all_labels_zero(self):
