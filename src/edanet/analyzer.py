@@ -25,12 +25,11 @@ from .blocks import (
     ConvStep,
     DeconvStep,
     DropoutStep,
-    GlobalAvgPoolStep,
+    ImagePool,
     MaxPoolStep,
     Parallel,
     ReluStep,
     Residual,
-    ResizeToInputStep,
     UpsampleStep,
     iter_prims,
     param_shapes,
@@ -122,17 +121,17 @@ def _learned_params(prim) -> int:
     )
 
 
-def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
+def _walk(node, shape, rf: _RfState, acc: _Acc):
     """Advance (shape, rf) through a node, accumulating params/macs."""
     c, h, w = shape
     if isinstance(node, Chain):
         for item in node.steps:
-            shape, rf = _walk(item, shape, rf, acc, ref_hw)
+            shape, rf = _walk(item, shape, rf, acc)
         return shape, rf
     if isinstance(node, Parallel):
         results = []
         for branch in node.branches:
-            results.append(_walk(branch, shape, rf.copy(), acc, ref_hw=(h, w)))
+            results.append(_walk(branch, shape, rf.copy(), acc))
         hw = {(s[1], s[2]) for s, _ in results}
         if len(hw) != 1:
             raise ShapeError(f"parallel branches disagree on spatial dims: {hw}")
@@ -146,7 +145,7 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
         out_h, out_w = next(iter(hw))
         return (out_c, out_h, out_w), merged
     if isinstance(node, Residual):
-        out, body_rf = _walk(node.body, shape, rf.copy(), acc, ref_hw)
+        out, body_rf = _walk(node.body, shape, rf.copy(), acc)
         if out != shape:
             raise ShapeError(
                 f"residual body changed shape {shape} -> {out}"
@@ -155,6 +154,11 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
         merged.rf_h = max(merged.rf_h, rf.rf_h)
         merged.rf_w = max(merged.rf_w, rf.rf_w)
         return shape, merged
+    if isinstance(node, ImagePool):
+        rf.grow(h, w, Fraction(h), Fraction(w))
+        (c, ph, pw), rf = _walk(node.body, (c, 1, 1), rf, acc)
+        rf.grow(2, 2, Fraction(ph, h), Fraction(pw, w))
+        return (c, h, w), rf
 
     acc.params += _learned_params(node)
     if isinstance(node, ConvStep):
@@ -208,18 +212,9 @@ def _walk(node, shape, rf: _RfState, acc: _Acc, ref_hw=None):
         ow = _conv_out(w, node.k, node.stride, 0, "avgpool")
         rf.grow(node.k, node.k, Fraction(node.stride), Fraction(node.stride))
         return (c, oh, ow), rf
-    if isinstance(node, GlobalAvgPoolStep):
-        rf.grow(h, w, Fraction(h), Fraction(w))
-        return (c, 1, 1), rf
     if isinstance(node, UpsampleStep):
         rf.grow(2, 2, Fraction(1, node.factor), Fraction(1, node.factor))
         return (c, h * node.factor, w * node.factor), rf
-    if isinstance(node, ResizeToInputStep):
-        if ref_hw is None:
-            raise ShapeError("resize-to-input step outside a branch context")
-        th, tw = ref_hw
-        rf.grow(2, 2, Fraction(h, th), Fraction(w, tw))
-        return (c, th, tw), rf
     raise TypeError(f"unknown node {node!r}")
 
 

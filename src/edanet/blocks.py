@@ -15,6 +15,8 @@ Structure nodes:
                 branch order; dense connectivity is a ``Parallel`` whose
                 first branch is the identity ``Chain([])``
 * ``Residual``  add the node input to the body output
+* ``ImagePool`` run the body on the global average of the node input, then
+                resize the result bilinearly to the input's spatial size
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ __all__ = [
     "DropoutStep",
     "MaxPoolStep",
     "AvgPoolStep",
-    "GlobalAvgPoolStep",
     "UpsampleStep",
-    "ResizeToInputStep",
     "Chain",
     "Parallel",
     "Residual",
+    "ImagePool",
     "iter_prims",
     "param_shapes",
     "FoldError",
@@ -122,21 +123,10 @@ class AvgPoolStep:
 
 
 @dataclass(frozen=True)
-class GlobalAvgPoolStep:
-    pass
-
-
-@dataclass(frozen=True)
 class UpsampleStep:
     """Bilinear upsample by an integer factor."""
 
     factor: int
-
-
-@dataclass(frozen=True)
-class ResizeToInputStep:
-    """Bilinear resize back to the spatial size of the enclosing branch
-    point (used by the pyramid's image-pooling branch)."""
 
 
 @dataclass(frozen=True)
@@ -160,10 +150,15 @@ class Residual:
     body: "Node"
 
 
+@dataclass(frozen=True)
+class ImagePool:
+    body: "Node"
+
+
 Node = Union[
-    Chain, Parallel, Residual,
+    Chain, Parallel, Residual, ImagePool,
     ConvStep, DeconvStep, BnStep, AffineStep, ReluStep, DropoutStep,
-    MaxPoolStep, AvgPoolStep, GlobalAvgPoolStep, UpsampleStep, ResizeToInputStep,
+    MaxPoolStep, AvgPoolStep, UpsampleStep,
 ]
 
 
@@ -175,7 +170,7 @@ def iter_prims(node: Node) -> Iterator:
     elif isinstance(node, Parallel):
         for b in node.branches:
             yield from iter_prims(b)
-    elif isinstance(node, Residual):
+    elif isinstance(node, (Residual, ImagePool)):
         yield from iter_prims(node.body)
     else:
         yield node
@@ -206,11 +201,11 @@ def _no_merge(step, conv, bn, lo, hi) -> None:
     pass
 
 
-def fold_bn(node: Node, layer_name: str, merge: Callable = _no_merge) -> Node:
+def fold_bn(node: Node, merge: Callable = _no_merge) -> Node:
     """The BN-folded form of a step tree: a convolution followed by BN
     becomes a biased convolution; a BN after a ``Parallel`` splits per
     branch, and a branch without a convolution ends in an AffineStep
-    ``<layer_name>.pool_affine``.
+    named ``pool_affine`` next to the BN (``ds1.bn`` -> ``ds1.pool_affine``).
 
     ``merge(step, conv, bn, lo, hi)`` is called for every new step that
     takes over channels ``lo:hi`` of ``bn``; ``conv`` is the convolution it
@@ -220,11 +215,11 @@ def fold_bn(node: Node, layer_name: str, merge: Callable = _no_merge) -> Node:
         prev = None
         for step in node.steps:
             if not isinstance(step, BnStep):
-                out.append(fold_bn(step, layer_name, merge))
+                out.append(fold_bn(step, merge))
             elif isinstance(prev, (ConvStep, DeconvStep)):
                 out[-1] = _absorb(prev, step, 0, merge)
             elif isinstance(prev, Parallel):
-                out[-1] = _split(prev, step, layer_name, merge)
+                out[-1] = _split(prev, step, merge)
             else:
                 raise FoldError(
                     f"{step.name}: batch norm without a directly preceding convolution"
@@ -232,9 +227,9 @@ def fold_bn(node: Node, layer_name: str, merge: Callable = _no_merge) -> Node:
             prev = step
         return Chain(out)
     if isinstance(node, Parallel):
-        return Parallel([fold_bn(b, layer_name, merge) for b in node.branches])
-    if isinstance(node, Residual):
-        return Residual(fold_bn(node.body, layer_name, merge))
+        return Parallel([fold_bn(b, merge) for b in node.branches])
+    if isinstance(node, (Residual, ImagePool)):
+        return type(node)(fold_bn(node.body, merge))
     return node
 
 
@@ -244,7 +239,7 @@ def _absorb(conv, bn: BnStep, lo: int, merge: Callable):
     return folded
 
 
-def _split(par: Parallel, bn: BnStep, layer_name: str, merge: Callable) -> Parallel:
+def _split(par: Parallel, bn: BnStep, merge: Callable) -> Parallel:
     """A BN after a concat splits per channel slice: a branch ending in its
     only convolution absorbs its slice, a convolution-free branch keeps
     its slice as scale+shift."""
@@ -266,7 +261,7 @@ def _split(par: Parallel, bn: BnStep, layer_name: str, merge: Callable) -> Paral
             branches.append(Chain(branch.steps[:-1] + (conv,)))
             lo += conv.out_ch
         else:
-            affine = AffineStep(f"{layer_name}.pool_affine", in_width)
+            affine = AffineStep(f"{bn.name.rpartition('.')[0]}.pool_affine", in_width)
             merge(affine, None, bn, lo, lo + in_width)
             branches.append(Chain(branch.steps + (affine,)))
             lo += in_width
@@ -382,11 +377,7 @@ def make_aspp(in_ch: int, branch_ch: int, name: str = "aspp") -> Node:
         Chain(_conv_bn_relu(name, "b2_conv3x3", "b2_bn", in_ch, branch_ch, 3, 3, dilation=6)),
         Chain(_conv_bn_relu(name, "b3_conv3x3", "b3_bn", in_ch, branch_ch, 3, 3, dilation=12)),
         Chain(_conv_bn_relu(name, "b4_conv3x3", "b4_bn", in_ch, branch_ch, 3, 3, dilation=18)),
-        Chain(
-            [GlobalAvgPoolStep()]
-            + _conv_bn_relu(name, "b5_conv1x1", "b5_bn", in_ch, branch_ch, 1, 1)
-            + [ResizeToInputStep()]
-        ),
+        ImagePool(Chain(_conv_bn_relu(name, "b5_conv1x1", "b5_bn", in_ch, branch_ch, 1, 1))),
     ]
     fuse = _conv_bn_relu(name, "fuse_conv1x1", "fuse_bn", 5 * branch_ch, branch_ch, 1, 1)
     return Chain([Parallel(branches)] + fuse)

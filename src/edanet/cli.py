@@ -149,16 +149,19 @@ def cmd_infer(args) -> int:
     net = netdef.parse_netspec(_read_text(args.net))
     store = runtime.load_weights(args.weights)
     image = imageio.read_ppm(_read_bytes(args.image))
+    if args.color:
+        if args.palette:
+            palette = imageio.load_palette(_read_text(args.palette))
+        else:
+            palette = imageio.default_palette(net.classes)
+        if len(palette) < net.classes:
+            raise ValueError(f"palette has {len(palette)} entries for {net.classes} classes")
     if args.fold:
         folded = runtime.fold_batch_norm(net, store)
         net, store = folded.net, folded.weights
     labels = runtime.infer_image(net, store, image)
     _write_bytes(args.out, imageio.write_pgm(labels))
     if args.color:
-        if args.palette:
-            palette = imageio.load_palette(_read_text(args.palette))
-        else:
-            palette = imageio.default_palette(net.classes)
         _write_bytes(args.color, imageio.colorize(labels, palette))
     if args.bench > 0:
         start = time.perf_counter()

@@ -62,8 +62,9 @@ class NetspecError(ValueError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One block-granularity layer; hyperparameters a kind does not use
-    stay None, omitted optional ones take their grammar defaults."""
+    """One block-granularity layer, held to the text format: fields a kind
+    does not use stay None, omitted optional ones take their grammar
+    defaults, and every other value must survive its codec."""
 
     kind: str
     name: str
@@ -89,13 +90,22 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in _KIND_KEYS:
             raise NetspecError(f"unknown layer kind {self.kind!r}")
-        for key, attr, _codec, default in _KIND_KEYS[self.kind]:
-            if getattr(self, attr) is None:
+        what = f"{self.kind} layer {self.name!r}"
+        if self.folded and self.kind not in _FOLDABLE:
+            raise NetspecError(f"{what} has no folded form")
+        keys = _KIND_KEYS[self.kind] + (("folded", "folded", _BOOL, False),)
+        unused = set(vars(self)) - {attr for _, attr, _, _ in keys} - {"kind"}
+        for attr in sorted(unused):
+            if getattr(self, attr) is not None:
+                raise NetspecError(f"{what} takes no {attr!r}")
+        for key, attr, codec, default in keys:
+            value = getattr(self, attr)
+            if value is None:
                 if default is _REQUIRED:
-                    raise NetspecError(
-                        f"{self.kind} layer {self.name!r} missing {key!r}"
-                    )
+                    raise NetspecError(f"{what} missing {key!r}")
                 object.__setattr__(self, attr, default)
+            elif codec is not None and _decode(codec, f"{what}: {key}", codec[2](value)) != value:
+                raise NetspecError(f"{what}: {key} expects {codec[0]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,14 @@ def _int_at_least(lo: int) -> tuple:
         return value
 
     return (f"int >= {lo}", parse, str)
+
+
+def _decode(codec: tuple, key: str, text: str, line_no: int = 0, col: int = 0):
+    """``text`` read by ``codec``; text it rejects is a NetspecError."""
+    try:
+        return codec[1](text)
+    except (ValueError, KeyError):
+        raise NetspecError(f"{key} expects {codec[0]}, got {text!r}", line_no, col)
 
 
 # pads may be zero; every other integer (channels, kernel sizes, strides,
@@ -529,7 +547,7 @@ def _parse_header(tokens, line_no: int):
         if key == "name":
             values[key] = value
         elif key in ("classes", "upscale"):
-            values[key] = _parse_int(value, key, line_no, col)
+            values[key] = _decode(_INT, key, value, line_no, col)
         elif key == "train":
             values[key] = _parse_size(value, line_no, col)
         else:
@@ -545,20 +563,13 @@ def _parse_header(tokens, line_no: int):
     )
 
 
-def _parse_int(value: str, key: str, line_no: int, col: int) -> int:
-    try:
-        return _INT[1](value)
-    except ValueError:
-        raise NetspecError(f"{key} expects {_INT[0]}, got {value!r}", line_no, col)
-
-
 def _parse_size(value: str, line_no: int, col: int) -> tuple:
     parts = value.lower().split("x")
     if len(parts) != 2:
         raise NetspecError(f"expected HxW, got {value!r}", line_no, col)
     return (
-        _parse_int(parts[0], "train height", line_no, col),
-        _parse_int(parts[1], "train width", line_no, col),
+        _decode(_INT, "train height", parts[0], line_no, col),
+        _decode(_INT, "train width", parts[1], line_no, col),
     )
 
 
@@ -578,15 +589,7 @@ def _parse_layer_fields(kind: str, tokens, line_no: int) -> dict:
         if key in seen:
             raise NetspecError(f"duplicate key {key!r}", line_no, col)
         seen.add(key)
-        if codec is None:
-            fields[attr] = value
-        else:
-            try:
-                fields[attr] = codec[1](value)
-            except (ValueError, KeyError):
-                raise NetspecError(
-                    f"{key} expects {codec[0]}, got {value!r}", line_no, col
-                )
+        fields[attr] = value if codec is None else _decode(codec, key, value, line_no, col)
     for key, attr, codec, default in keys:
         if attr in fields:
             continue
@@ -609,7 +612,7 @@ def expand_layer(layer: LayerSpec) -> Node:
 @functools.lru_cache(maxsize=1024)
 def _lowered(layer: LayerSpec) -> Node:
     node = _unfolded_tree(layer)
-    return blocks.fold_bn(node, layer.name) if layer.folded else node
+    return blocks.fold_bn(node) if layer.folded else node
 
 
 def _unfolded_tree(layer: LayerSpec) -> Node:

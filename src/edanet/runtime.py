@@ -24,12 +24,11 @@ from .blocks import (
     DeconvStep,
     DropoutStep,
     FoldError,
-    GlobalAvgPoolStep,
+    ImagePool,
     MaxPoolStep,
     Parallel,
     ReluStep,
     Residual,
-    ResizeToInputStep,
     UpsampleStep,
     fold_bn,
     iter_prims,
@@ -222,24 +221,30 @@ def fold_batch_norm(net: NetworkSpec, weights: WeightStore) -> FoldedNetwork:
     s = gamma / sqrt(var + eps), the convolution's weights become s*w and
     its bias s*(old_bias - mean) + beta.  The returned network contains no
     BN steps and computes the same function up to float32 rounding."""
+    tensors: dict = {}  # checked as forward checks them, before any merge
+    used: list = []
+    for layer in net.layers:
+        for prim in iter_prims(expand_layer(layer)):
+            tensors[prim] = _fetch(weights, prim, used)
+            if isinstance(prim, BnStep):
+                BnParams(*tensors[prim], eps=BN_EPS)  # rejects a negative variance
+    _check_consumed(weights, used)
     merged: dict = {}
 
     def merge(step, conv, bn, lo, hi):
-        gamma, beta, mean, var = (
-            weights[f"{bn.name}.{suffix}"][lo:hi] for suffix, _ in param_shapes(bn)
-        )
+        gamma, beta, mean, var = (t[lo:hi] for t in tensors[bn])
         s = gamma / np.sqrt(var + np.float32(BN_EPS))
         if conv is None:  # scale, shift
             values = (s, beta - s * mean)
         else:  # w, b
-            w, *b = (weights[f"{conv.name}.{suffix}"] for suffix, _ in param_shapes(conv))
+            w, *b = tensors[conv]
             old_b = b[0] if b else np.zeros(conv.out_ch, np.float32)
             values = (w * s[:, None, None, None], s * (old_b - mean) + beta)
         for (suffix, _), value in zip(param_shapes(step), values):
             merged[f"{step.name}.{suffix}"] = value
 
     for layer in net.layers:
-        fold_bn(expand_layer(layer), layer.name, merge)
+        fold_bn(expand_layer(layer), merge)
     folded_net = replace(net, layers=[fold_layer(l) for l in net.layers])
     dst = WeightStore()
     for name in parameter_names(folded_net):
@@ -265,20 +270,33 @@ def _fetch(store: WeightStore, prim, used: list) -> list:
     return arrays
 
 
-def _eval(node, x: Tensor, store: WeightStore, used: list, ref_hw=None) -> Tensor:
+def _check_consumed(store: WeightStore, used: list) -> None:
+    """Every stored tensor must be among the ``used`` names."""
+    used_set = set(used)
+    dangling = [n for n in store.names() if n not in used_set]
+    if dangling:
+        raise WeightError(
+            f"weights never consumed by the forward pass: {dangling[:3]}"
+            + ("..." if len(dangling) > 3 else "")
+        )
+
+
+def _eval(node, x: Tensor, store: WeightStore, used: list) -> Tensor:
     if isinstance(node, Chain):
         for step in node.steps:
-            x = _eval(step, x, store, used, ref_hw)
+            x = _eval(step, x, store, used)
         return x
     if isinstance(node, Parallel):
-        hw = (x.h, x.w)
         out = None
         for branch in node.branches:
-            y = _eval(branch, x, store, used, ref_hw=hw)
+            y = _eval(branch, x, store, used)
             out = y if out is None else concat_channels(out, y)
         return out
     if isinstance(node, Residual):
-        return add(x, _eval(node.body, x, store, used, ref_hw))
+        return add(x, _eval(node.body, x, store, used))
+    if isinstance(node, ImagePool):
+        y = _eval(node.body, global_avg_pool(x), store, used)
+        return bilinear_resize(y, x.h, x.w)
     if isinstance(node, ConvStep):
         return conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride,
                       dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w)
@@ -296,14 +314,8 @@ def _eval(node, x: Tensor, store: WeightStore, used: list, ref_hw=None) -> Tenso
         return max_pool2d(x, node.k, node.stride, node.pad)
     if isinstance(node, AvgPoolStep):
         return avg_pool2d(x, node.k, node.stride)
-    if isinstance(node, GlobalAvgPoolStep):
-        return global_avg_pool(x)
     if isinstance(node, UpsampleStep):
         return bilinear_resize(x, x.h * node.factor, x.w * node.factor)
-    if isinstance(node, ResizeToInputStep):
-        if ref_hw is None:
-            raise ShapeError("resize-to-input step outside a branch context")
-        return bilinear_resize(x, ref_hw[0], ref_hw[1])
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -324,13 +336,7 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
             x = _eval(expand_layer(layer), x, weights, used)
         except (WeightError, ShapeError) as exc:
             raise type(exc)(f"layer {layer.name!r}: {exc}") from None
-    used_set = set(used)
-    dangling = [n for n in weights.names() if n not in used_set]
-    if dangling:
-        raise WeightError(
-            f"weights never consumed by the forward pass: {dangling[:3]}"
-            + ("..." if len(dangling) > 3 else "")
-        )
+    _check_consumed(weights, used)
     return x
 
 

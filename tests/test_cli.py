@@ -240,6 +240,36 @@ class TestExitCodes:
         assert "line 2, col 1" in capsys.readouterr().err
         assert not seg.exists() and not color.exists()
 
+    def test_short_palette_fails_before_any_output(self, workdir, capsys):
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        run("build", "--variant", "shallow", "--out", net)
+        run("init", "--net", net, "--seed", "1", "--out", w)
+        (workdir / "two.txt").write_text("1 2 3\n4 5 6\n")
+        seg, color = workdir / "seg.pgm", workdir / "seg.ppm"
+        assert run("infer", "--net", net, "--weights", w, "--image", workdir / "in.ppm",
+                   "--out", seg, "--color", color, "--palette", workdir / "two.txt") == 4
+        assert "palette has 2 entries for 19 classes" in capsys.readouterr().err
+        assert not seg.exists() and not color.exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("orphan.w", np.zeros(3)),
+        ("m1_1.bn1.var", np.full(40, -1.0)),
+        ("m1_1.conv1x1.w", np.zeros((40, 60, 3, 3))),
+    ], ids=["dangling", "negative_var", "misshaped"])
+    def test_fold_rejects_weights_infer_rejects(self, workdir, capsys, name, value):
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        run("build", "--variant", "shallow", "--out", net)
+        run("init", "--net", net, "--seed", "1", "--out", w)
+        store = runtime.load_weights(w)
+        store[name] = value
+        runtime.save_weights(store, w)
+        out_net, out_w = workdir / "f.nspec", workdir / "f.edaw"
+        assert run("fold", "--net", net, "--weights", w,
+                   "--out-net", out_net, "--out-weights", out_w) == 4
+        assert run("infer", "--net", net, "--weights", w, "--image", workdir / "in.ppm",
+                   "--out", workdir / "o.pgm") == 4
+        assert not out_net.exists() and not out_w.exists()
+
     def test_wrong_image_size_is_validation_error(self, workdir, capsys):
         net, w = workdir / "net.nspec", workdir / "w.edaw"
         run("build", "--variant", "shallow", "--out", net)

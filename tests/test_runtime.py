@@ -28,7 +28,10 @@ from edanet.runtime import (
     serialize_weights,
     splitmix64,
 )
-from edanet.tensorops import BN_EPS, Kernel, ShapeError, Tensor, conv2d, set_num_threads
+from edanet.tensorops import (
+    BN_EPS, BnParams, Kernel, ShapeError, Tensor, batch_norm, bilinear_resize, conv2d,
+    global_avg_pool, relu, set_num_threads,
+)
 
 SMALL_INPUT = (1, 3, 16, 32)
 
@@ -141,6 +144,28 @@ class TestForward:
         x = rand_input(3, shape=(1, 3, 6, 6))
         want = conv2d(x, Kernel(store["p.conv1x1.w"], store["p.conv1x1.b"]))
         got = forward(net, store, x)
+        assert np.array_equal(got.data, want.data)
+
+    def test_aspp_image_pool_branch(self):
+        """The pyramid's fifth branch averages the whole plane, runs
+        conv1x1 + BN + ReLU on the 1x1 result and resizes it back to the
+        input size.  The fuse conv here passes only that branch through,
+        and identity BN plus the final ReLU leave it unchanged."""
+        c, b = 3, 4
+        net = NetworkSpec("a", 2, [LayerSpec("aspp", "a", in_ch=c, branch_ch=b)])
+        store = init_weights(net, seed=11)
+        randomize_bn(store, np.random.default_rng(11))
+        for suffix, value in (("gamma", 1), ("beta", 0), ("mean", 0), ("var", 1)):
+            store[f"a.fuse_bn.{suffix}"] = np.full(b, value, np.float32)
+        fuse = np.zeros((b, 5 * b, 1, 1), np.float32)
+        fuse[:, 4 * b:, 0, 0] = np.eye(b)
+        store["a.fuse_conv1x1.w"] = fuse
+        x = rand_input(11, shape=(1, c, 6, 10), lo=-1.0)
+        bn = BnParams(*(store[f"a.b5_bn.{s}"] for s in ("gamma", "beta", "mean", "var")))
+        pooled = relu(batch_norm(conv2d(global_avg_pool(x), Kernel(store["a.b5_conv1x1.w"])), bn))
+        want = bilinear_resize(pooled, 6, 10)
+        got = forward(net, store, x)
+        assert got.shape == (1, b, 6, 10)
         assert np.array_equal(got.data, want.data)
 
     def test_missing_weight_names_layer(self):
@@ -285,7 +310,21 @@ class TestFoldBatchNorm:
 
     def test_bn_without_conv_rejected(self):
         with pytest.raises(FoldError, match="preceding"):
-            fold_bn(Chain([BnStep("x.bn", 2)]), "x")
+            fold_bn(Chain([BnStep("x.bn", 2)]))
+
+    @pytest.mark.parametrize("name, value, error, match", [
+        ("orphan.w", np.zeros(3), WeightError, "never consumed"),
+        ("m1_1.bn1.var", np.full(40, -1.0), ValueError, "running_var"),
+        ("m1_1.conv1x1.w", np.zeros((40, 60, 3, 3)), ShapeError, "m1_1.conv1x1.w"),
+    ], ids=["dangling", "negative_var", "misshaped"])
+    def test_rejects_weights_forward_rejects(self, name, value, error, match):
+        net = build_variant("shallow", classes=19)
+        store = init_weights(net, seed=7)
+        store[name] = value
+        with pytest.raises(error, match=match):
+            forward(net, store, rand_input())
+        with pytest.raises(error, match=match):
+            fold_batch_norm(net, store)
 
     def test_downsample_pool_slice_becomes_affine(self):
         net = NetworkSpec("d", 2, [LayerSpec("downsample", "d", in_ch=3, out_ch=8)])
