@@ -208,11 +208,12 @@ def _check_separability(rng: np.random.Generator) -> str | None:
 
 
 def _check_dilation(rng: np.random.Generator) -> str | None:
-    """Dilated conv must equal the zero-inserted kernel bit-exactly."""
-    for r in (2, 4, 8, 16):
-        k = Kernel(rng.uniform(-1, 1, (2, 3, 3, 3)).astype(np.float32))
+    """Dilated conv must equal the zero-inserted kernel bit-exactly, also
+    when the channel contraction spans more than one chunk (300 inputs)."""
+    for r, in_c in ((2, 3), (4, 3), (8, 3), (16, 3), (4, 300)):
+        k = Kernel(rng.uniform(-1, 1, (2, in_c, 3, 3)).astype(np.float32))
         size = 2 * r + 5
-        x = Tensor(rng.uniform(-1, 1, (1, 3, size, size)).astype(np.float32))
+        x = Tensor(rng.uniform(-1, 1, (1, in_c, size, size)).astype(np.float32))
         dilated = tensorops.conv2d(x, k, dilation=r, pad_h=r, pad_w=r)
         expanded = tensorops.conv2d(
             x, tensorops.zero_insert_kernel(k, r), pad_h=r, pad_w=r
@@ -220,7 +221,7 @@ def _check_dilation(rng: np.random.Generator) -> str | None:
         if not np.array_equal(
             dilated.data.view(np.uint32), expanded.data.view(np.uint32)
         ):
-            return f"rate {r}: outputs not bit-identical"
+            return f"rate {r}, {in_c} input channels: outputs not bit-identical"
     return None
 
 
@@ -304,6 +305,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "palette", None) and not args.color:
+            parser.error("--palette needs --color")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -152,6 +152,15 @@ def _decode(codec: tuple, key: str, text: str, line_no: int = 0, col: int = 0):
         raise NetspecError(f"{key} expects {codec[0]}, got {text!r}", line_no, col)
 
 
+def _parse_name(text: str) -> str:
+    if not text or any(c.isspace() or c == "#" for c in text):
+        raise ValueError(text)
+    return text
+
+
+# a name is one token of the text format: no whitespace, no comment mark
+_NAME = ("a non-empty name without whitespace or '#'", _parse_name, str)
+
 # pads may be zero; every other integer (channels, kernel sizes, strides,
 # dilations, factors) must be positive, or shapes divide by zero later
 _INT = _int_at_least(1)
@@ -160,7 +169,7 @@ _PAD = _int_at_least(0)
 # kind -> ordered (text key, attribute, codec, default)
 _KIND_KEYS = {
     "conv": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("in", "in_ch", _INT, _REQUIRED),
         ("out", "out_ch", _INT, _REQUIRED),
         ("kh", "kh", _INT, _REQUIRED),
@@ -173,7 +182,7 @@ _KIND_KEYS = {
         ("act", "act", _BOOL, True),
     ),
     "deconv": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("in", "in_ch", _INT, _REQUIRED),
         ("out", "out_ch", _INT, _REQUIRED),
         ("k", "k", _INT, _REQUIRED),
@@ -182,50 +191,50 @@ _KIND_KEYS = {
         ("act", "act", _BOOL, True),
     ),
     "maxpool": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("k", "k", _INT, _REQUIRED),
         ("stride", "stride", _INT, _REQUIRED),
         ("pad", "pad", _PAD, 0),
     ),
     "avgpool": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("k", "k", _INT, _REQUIRED),
         ("stride", "stride", _INT, _REQUIRED),
     ),
     "eda": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("in", "in_ch", _INT, _REQUIRED),
         ("growth", "growth", _INT, _REQUIRED),
         ("dilation", "dilation", _INT, 1),
     ),
     "eda_na": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("in", "in_ch", _INT, _REQUIRED),
         ("growth", "growth", _INT, _REQUIRED),
         ("dilation", "dilation", _INT, 1),
     ),
     "erf": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("width", "width", _INT, _REQUIRED),
         ("dilation", "dilation", _INT, 1),
     ),
     "downsample": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("in", "in_ch", _INT, _REQUIRED),
         ("out", "out_ch", _INT, _REQUIRED),
     ),
     "aspp": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("in", "in_ch", _INT, _REQUIRED),
         ("branch", "branch_ch", _INT, _REQUIRED),
     ),
     "projection": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("in", "in_ch", _INT, _REQUIRED),
         ("classes", "classes", _INT, _REQUIRED),
     ),
     "bilinear": (
-        ("name", "name", None, _REQUIRED),
+        ("name", "name", _NAME, _REQUIRED),
         ("factor", "factor", _INT, _REQUIRED),
     ),
 }
@@ -303,6 +312,8 @@ def _validate_layers(layers, classes: int, lines: Optional[dict] = None) -> None
 
 
 def _validate_network(net: NetworkSpec) -> None:
+    if _decode(_NAME, "network name", _NAME[2](net.name)) != net.name:
+        raise NetspecError(f"network name expects {_NAME[0]}, got {net.name!r}")
     if net.classes < 1:
         raise NetspecError(f"classes must be >= 1, got {net.classes}")
     if net.inference_upscale < 1:

@@ -2,9 +2,12 @@
 
 All activations and weights are 32-bit floats.  Every operator is a pure
 function: inputs are never mutated and repeated evaluation is bit-identical.
-Accumulation happens in float32, in a fixed order per output element
-(kernel taps in row-major order, input channels innermost), so results do
-not depend on how many worker threads are in use.
+Convolutions accumulate in float32 in a fixed order: kernel taps in
+row-major order and, within a tap, the input channels in chunks of 256 in
+order, each chunk one sgemm added to the output.  Every sgemm call has the
+same shape for any worker count, so results are bit-identical for any
+``set_num_threads`` and any ``OPENBLAS_NUM_THREADS`` on one numpy/OpenBLAS
+build.
 """
 
 from __future__ import annotations
@@ -227,14 +230,30 @@ def _get_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _row_blocks(rows: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, rows))
-    step = -(-rows // parts)
-    return [(r, min(r + step, rows)) for r in range(0, rows, step)]
-
-
 # ---------------------------------------------------------------------------
 # convolution
+
+# Input channels are contracted in chunks of at most this many, one sgemm
+# each.  A longer sgemm contraction can round differently at different
+# OpenBLAS thread counts (450 channels does with OpenBLAS 0.3.31); up to 256
+# it gives the same bytes at 1, 2 and 4 threads.
+_CHANNEL_CHUNK = 256
+
+# conv2d computes its output in bands of whole rows holding about this many
+# pixels.  The bands, and so the shape of every sgemm call, do not depend on
+# the worker count: sgemm can round an output column differently when it is
+# among the last few columns of a call, so bands cut by worker count would
+# not be bit-identical.
+_BAND_PIXELS = 8192
+
+
+def _accumulate_product(out: np.ndarray, w: np.ndarray, x: np.ndarray) -> None:
+    """out += w @ x for w (o, c) and x (c, m), with the c channels
+    contracted chunk by chunk in order; ``out`` holds o*m elements."""
+    for c in range(0, w.shape[1], _CHANNEL_CHUNK):
+        c1 = c + _CHANNEL_CHUNK
+        out += (w[:, c:c1] @ x[c:c1]).reshape(out.shape)
+
 
 def conv2d(
     input: Tensor,
@@ -247,9 +266,10 @@ def conv2d(
     """Cross-correlate ``input`` with ``k`` (zero padding, no kernel flip).
 
     Output height is floor((h + 2*pad_h - (dilation*(kh-1)+1)) / stride) + 1
-    and analogously for width.  Each output element accumulates kernel taps
-    in row-major order with the channel contraction innermost, so dilated
-    kernels are bit-identical to their zero-inserted dilation-1 expansion.
+    and analogously for width.  Each kernel tap's input slice is copied to
+    a contiguous (channels, pixels) matrix and contracted with the tap's
+    (out, in) weights by sgemm, taps in row-major order, so dilated kernels
+    are bit-identical to their zero-inserted dilation-1 expansion.
     """
     if stride < 1 or dilation < 1:
         raise ValueError("stride and dilation must be >= 1")
@@ -272,42 +292,46 @@ def conv2d(
     x = input.data
     if pad_h or pad_w:
         x = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    w = k.weights
+    taps = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1))
+    out = np.zeros((input.n, k.out_channels, out_h, out_w), np.float32)
 
-    def rows(sample: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        out = np.zeros((k.out_channels, r1 - r0, out_w), np.float32)
+    def band(n: int, r0: int, r1: int) -> None:
         for i in range(k.kh):
             for j in range(k.kw):
                 y0 = r0 * stride + i * dilation
                 x0 = j * dilation
-                sl = sample[
+                sl = x[
+                    n,
                     :,
                     y0 : y0 + (r1 - r0 - 1) * stride + 1 : stride,
                     x0 : x0 + (out_w - 1) * stride + 1 : stride,
                 ]
-                out += np.einsum("oi,ihw->ohw", w[:, :, i, j], sl)
-        return out
+                _accumulate_product(
+                    out[n, :, r0:r1], taps[i, j], sl.reshape(k.in_channels, -1)
+                )
 
-    results = []
-    for n in range(input.n):
-        sample = x[n]
-        nthreads = get_num_threads()
-        if nthreads > 1 and out_h >= 2 * nthreads and out_h * out_w >= 1024:
-            blocks = _row_blocks(out_h, nthreads)
-            futures = [_get_pool().submit(rows, sample, r0, r1) for r0, r1 in blocks]
-            out = np.concatenate([f.result() for f in futures], axis=1)
-        else:
-            out = rows(sample, 0, out_h)
-        if k.bias is not None:
-            out += k.bias[:, None, None]
-        results.append(out)
-    return Tensor(np.stack(results))
+    step = max(1, _BAND_PIXELS // out_w)
+    bands = [
+        (n, r0, min(r0 + step, out_h))
+        for n in range(input.n)
+        for r0 in range(0, out_h, step)
+    ]
+    if get_num_threads() > 1 and len(bands) > 1:
+        futures = [_get_pool().submit(band, *b) for b in bands]
+        for f in futures:
+            f.result()
+    else:
+        for b in bands:
+            band(*b)
+    if k.bias is not None:
+        out += k.bias[:, None, None]
+    return Tensor(out)
 
 
 def transposed_conv2d(input: Tensor, k: Kernel, stride: int) -> Tensor:
     """Transposed convolution: each input value scatter-adds its
-    kernel-weighted stencil.  Output spatial size is (h-1)*stride + kh
-    (no output padding)."""
+    kernel-weighted stencil, one sgemm per kernel tap in row-major order.
+    Output spatial size is (h-1)*stride + kh (no output padding)."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if input.c != k.in_channels:
@@ -316,23 +340,22 @@ def transposed_conv2d(input: Tensor, k: Kernel, stride: int) -> Tensor:
         )
     out_h = (input.h - 1) * stride + k.kh
     out_w = (input.w - 1) * stride + k.kw
-    w = k.weights
-    results = []
+    taps = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1))
+    out = np.zeros((input.n, k.out_channels, out_h, out_w), np.float32)
     for n in range(input.n):
-        sample = input.data[n]
-        out = np.zeros((k.out_channels, out_h, out_w), np.float32)
+        sample = input.data[n].reshape(k.in_channels, -1)
         for i in range(k.kh):
             for j in range(k.kw):
-                contrib = np.einsum("oi,ihw->ohw", w[:, :, i, j], sample)
-                out[
+                scatter = out[
+                    n,
                     :,
                     i : i + (input.h - 1) * stride + 1 : stride,
                     j : j + (input.w - 1) * stride + 1 : stride,
-                ] += contrib
-        if k.bias is not None:
-            out += k.bias[:, None, None]
-        results.append(out)
-    return Tensor(np.stack(results))
+                ]
+                _accumulate_product(scatter, taps[i, j], sample)
+    if k.bias is not None:
+        out += k.bias[:, None, None]
+    return Tensor(out)
 
 
 def zero_insert_kernel(k: Kernel, r: int) -> Kernel:
@@ -461,7 +484,8 @@ def bilinear_resize(input: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear resampling with half-pixel centers and edge clamping.
 
     Source coordinate for output index d is (d + 0.5) * (in/out) - 0.5,
-    clamped to [0, in-1]; the four neighbors blend with float32 arithmetic.
+    clamped to [0, in-1]; the four neighbors blend with float32 arithmetic,
+    first along x for every input row, then along y.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError("output dims must be >= 1")
@@ -476,17 +500,20 @@ def bilinear_resize(input: Tensor, out_h: int, out_w: int) -> Tensor:
 
     y0, y1, fy = axis_coords(input.h, out_h)
     x0, x1, fx = axis_coords(input.w, out_w)
-    d = input.data
-    tl = d[:, :, y0[:, None], x0[None, :]]
-    tr = d[:, :, y0[:, None], x1[None, :]]
-    bl = d[:, :, y1[:, None], x0[None, :]]
-    br = d[:, :, y1[:, None], x1[None, :]]
-    fx = fx[None, None, None, :]
-    fy = fy[None, None, :, None]
     one = np.float32(1.0)
-    top = tl * (one - fx) + tr * fx
-    bot = bl * (one - fx) + br * fx
-    return Tensor(top * (one - fy) + bot * fy)
+    rows = np.take(input.data, x0, axis=3)
+    rows *= one - fx
+    right = np.take(input.data, x1, axis=3)
+    right *= fx
+    rows += right
+    del right
+    fy = fy[:, None]
+    top = np.take(rows, y0, axis=2)
+    top *= one - fy
+    bot = np.take(rows, y1, axis=2)
+    bot *= fy
+    top += bot
+    return Tensor(top)
 
 
 def argmax_channels(input: Tensor) -> LabelMap:

@@ -251,6 +251,15 @@ class TestExitCodes:
         assert "palette has 2 entries for 19 classes" in capsys.readouterr().err
         assert not seg.exists() and not color.exists()
 
+    def test_palette_without_color_is_usage_error(self, workdir, capsys):
+        # every input path is absent: exit 2, not 3, shows none was opened
+        seg = workdir / "seg.pgm"
+        assert run("infer", "--net", workdir / "absent.nspec", "--weights",
+                   workdir / "absent.edaw", "--image", workdir / "absent.ppm",
+                   "--out", seg, "--palette", workdir / "absent.txt") == 2
+        assert "--palette needs --color" in capsys.readouterr().err
+        assert not seg.exists()
+
     @pytest.mark.parametrize("name, value", [
         ("orphan.w", np.zeros(3)),
         ("m1_1.bn1.var", np.full(40, -1.0)),

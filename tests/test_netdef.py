@@ -223,3 +223,14 @@ class TestNetworkSpecValidation:
             parse_netspec(f"net name=demo classes=2\n{line}\n")
         with pytest.raises(NetspecError, match=message):
             NetworkSpec("demo", 2, [layer])
+
+    @pytest.mark.parametrize("name", ["", "a b", "a#b", "a\tb", "a\nb"])
+    def test_name_the_text_format_cannot_hold_is_rejected(self, name):
+        with pytest.raises(NetspecError, match="name expects"):
+            LayerSpec("bilinear", name, factor=2)
+        with pytest.raises(NetspecError, match="network name expects"):
+            NetworkSpec(name, 2, [LayerSpec("bilinear", "u", factor=2)])
+
+    def test_name_with_equals_sign_round_trips(self):
+        net = NetworkSpec("n=1", 2, [LayerSpec("bilinear", "a=b", factor=2)])
+        assert parse_netspec(serialize_netspec(net)) == net

@@ -61,6 +61,8 @@ def test_one_token_mutation_fails_at_parse_or_round_trips(variant, data):
 
 FIELDS = [f.name for f in dataclasses.fields(LayerSpec) if f.name not in ("kind", "name")]
 VALUES = st.one_of(st.none(), st.integers(-1, 48), st.booleans())
+# mostly plain names, now and then one with a blank, a tab, '#' or '='
+NAMES = st.one_of(st.just("l"), st.text(alphabet="ab #\t=", max_size=3))
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -72,8 +74,8 @@ def test_layer_built_in_code_is_rejected_or_round_trips(kind, data):
     kwargs = {attr: data.draw(VALUES, label=attr) for attr in own + [extra] if attr}
     kwargs["folded"] = data.draw(st.one_of(st.booleans(), st.integers(-1, 2)), label="folded")
     try:
-        layer = LayerSpec(kind, "l", **kwargs)
-        net = NetworkSpec("n", layer.classes or 2, [layer])
+        layer = LayerSpec(kind, data.draw(NAMES, label="name"), **kwargs)
+        net = NetworkSpec(data.draw(NAMES, label="net_name"), layer.classes or 2, [layer])
     except NetspecError:
         return
     again = parse_netspec(serialize_netspec(net))

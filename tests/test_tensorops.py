@@ -1,7 +1,14 @@
 """Primitive operator tests against independent scalar/loop oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import edanet
 
 from edanet.tensorops import (
     BN_EPS,
@@ -115,6 +122,25 @@ class TestConv2d:
         assert got.data.shape == want.shape
         assert np.abs(got.data - want).max() < 1e-5
 
+    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 1), (1, 2)])
+    def test_several_row_bands_match_float64_reference(self, stride, dilation):
+        """An output of more than one row band (8192 pixels) equals a
+        per-tap float64 product sum."""
+        rng = np.random.default_rng(16 + stride + dilation)
+        x = rand_tensor(rng, 2, 5, 181 * stride, 130)
+        k = rand_kernel(rng, 4, 5, 3, 3, bias=True)
+        pad = dilation
+        got = conv2d(x, k, stride=stride, dilation=dilation, pad_h=pad, pad_w=pad).data
+        xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        oh, ow = got.shape[2:]
+        want = np.zeros(got.shape) + k.bias[None, :, None, None]
+        for i in range(3):
+            for j in range(3):
+                sl = xp[:, :, i * dilation :: stride, j * dilation :: stride][:, :, :oh, :ow]
+                want += np.einsum("oi,nihw->nohw", k.weights[:, :, i, j].astype(np.float64), sl)
+        assert oh * ow > 8192
+        assert np.abs(got - want).max() < 1e-5
+
     def test_channel_mismatch_raises(self):
         x = Tensor.zeros(1, 3, 4, 4)
         k = Kernel(np.ones((1, 2, 1, 1), np.float32))
@@ -158,16 +184,58 @@ class TestConv2d:
 
     def test_thread_count_bit_identical(self):
         rng = np.random.default_rng(5)
-        x = rand_tensor(rng, 1, 6, 64, 80)
-        k = rand_kernel(rng, 10, 6, 3, 3, bias=True)
-        try:
-            set_num_threads(1)
-            a = conv2d(x, k, pad_h=1, pad_w=1)
-            set_num_threads(4)
-            b = conv2d(x, k, pad_h=1, pad_w=1)
-        finally:
-            set_num_threads(1)
-        assert np.array_equal(a.data.view(np.uint32), b.data.view(np.uint32))
+        # (in_c, out_c, h, w, k): a 3x3 kernel over several row bands; more
+        # than 256 input channels; and a 1x1 conv whose 40x33 output an even
+        # split by worker count would cut at 660 columns, where sgemm rounds
+        # the trailing columns of a call differently.
+        for in_c, out_c, h, w, ks in ((6, 10, 128, 160, 3), (300, 8, 96, 100, 3),
+                                      (40, 19, 40, 33, 1)):
+            x = rand_tensor(rng, 1, in_c, h, w)
+            k = rand_kernel(rng, out_c, in_c, ks, ks, bias=True)
+            outs = []
+            try:
+                for threads in (1, 2, 4):
+                    set_num_threads(threads)
+                    outs.append(conv2d(x, k, pad_h=ks // 2, pad_w=ks // 2).data)
+            finally:
+                set_num_threads(1)
+            for b in outs[1:]:
+                assert np.array_equal(outs[0].view(np.uint32), b.view(np.uint32)), in_c
+
+
+# Run in a child process, because OpenBLAS reads its thread count at import.
+_BLAS_HASH_CHILD = """
+import hashlib
+import numpy as np
+from edanet.tensorops import Kernel, Tensor, conv2d, transposed_conv2d
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for c in (3, 60, 260, 450, 520):
+    x = Tensor(rng.uniform(-1, 1, (1, c, 24, 24)).astype(np.float32))
+    k = Kernel(rng.uniform(-1, 1, (19, c, 3, 3)).astype(np.float32))
+    for stride in (1, 2):
+        h.update(conv2d(x, k, stride=stride, pad_h=1, pad_w=1).data.tobytes())
+        h.update(transposed_conv2d(x, k, stride).data.tobytes())
+    h.update(conv2d(x, k, dilation=4, pad_h=4, pad_w=4).data.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_blas_thread_count_bit_identical():
+    """conv2d and transposed_conv2d give the same bytes whatever thread
+    count OpenBLAS runs with, including contractions over more than 256
+    channels."""
+    src = str(Path(edanet.__file__).resolve().parents[1])
+    digests = []
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_HASH_CHILD],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 class TestSeparability:
@@ -191,17 +259,20 @@ class TestSeparability:
 
 class TestDilationEquivalence:
     @pytest.mark.parametrize("r", [2, 4, 8, 16])
-    def test_zero_inserted_kernel_is_bit_identical(self, r):
+    def test_zero_inserted_kernel_is_bit_identical(self, r, in_c=3):
         rng = np.random.default_rng(100 + r)
-        k = rand_kernel(rng, 2, 3, 3, 3)
+        k = rand_kernel(rng, 2, in_c, 3, 3)
         size = 2 * r + 6
-        x = rand_tensor(rng, 1, 3, size, size)
+        x = rand_tensor(rng, 1, in_c, size, size)
         dilated = conv2d(x, k, dilation=r, pad_h=r, pad_w=r)
         expanded = conv2d(x, zero_insert_kernel(k, r), pad_h=r, pad_w=r)
         assert expanded.shape == dilated.shape
         assert np.array_equal(
             dilated.data.view(np.uint32), expanded.data.view(np.uint32)
         )
+
+    def test_zero_inserted_kernel_over_256_channels_is_bit_identical(self):
+        self.test_zero_inserted_kernel_is_bit_identical(4, in_c=300)
 
     def test_effective_size(self):
         k = rand_kernel(np.random.default_rng(0), 1, 1, 3, 3)
@@ -394,6 +465,32 @@ class TestBilinearResize:
         ])
         got = bilinear_resize(x, 4, 4).data[0, 0]
         assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("in_hw,out_hw", [
+        ((7, 5), (13, 11)), ((9, 13), (4, 6)), ((1, 1), (3, 5)), ((17, 3), (8, 21)),
+    ], ids=["up", "down", "from_1x1", "down_up"])
+    def test_matches_four_corner_formula_bit_for_bit(self, in_hw, out_hw):
+        """Interpolating along x per input row and then along y gives the
+        bytes of the direct four-neighbor blend."""
+        rng = np.random.default_rng(15)
+        x = rand_tensor(rng, 1, 3, *in_hw)
+
+        def coords(n_in, n_out):
+            s = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+            s = np.clip(s, 0.0, n_in - 1)
+            lo = np.floor(s).astype(np.int64)
+            return lo, np.minimum(lo + 1, n_in - 1), (s - lo).astype(np.float32)
+
+        (y0, y1, fy), (x0, x1, fx) = coords(in_hw[0], out_hw[0]), coords(in_hw[1], out_hw[1])
+        d = x.data
+        fx, fy = fx[None, None, None, :], fy[None, None, :, None]
+        one = np.float32(1.0)
+        top = d[:, :, y0[:, None], x0[None, :]] * (one - fx) + d[:, :, y0[:, None], x1[None, :]] * fx
+        bot = d[:, :, y1[:, None], x0[None, :]] * (one - fx) + d[:, :, y1[:, None], x1[None, :]] * fx
+        want = top * (one - fy) + bot * fy
+        got = bilinear_resize(x, *out_hw).data
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestArgmax:
