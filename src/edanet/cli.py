@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="edanet",
         description="Build, analyze, and run EDANet-family segmentation networks.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the executor (default 1)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="threads of numpy's bundled OpenBLAS, which runs the convolutions "
+                             "(default: as the process started; ignored with another BLAS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="write a network description (.nspec)")
@@ -310,7 +311,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        tensorops.set_num_threads(args.threads)
+        if args.threads is not None:
+            tensorops.set_num_threads(args.threads)
         return args.func(args)
     except OSError as exc:
         print(f"edanet: i/o error: {exc}", file=sys.stderr)

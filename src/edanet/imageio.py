@@ -56,7 +56,10 @@ def _parse_netpbm_header(data: bytes, magic: bytes):
             start = pos
             while pos < len(data) and data[pos : pos + 1].isdigit():
                 pos += 1
-            fields.append(int(data[start:pos]))
+            try:
+                fields.append(int(data[start:pos]))
+            except ValueError:  # past Python's digit limit for int()
+                raise ImageFormatError(f"header integer of {pos - start} digits") from None
         else:
             raise ImageFormatError(f"unexpected byte {ch!r} in header")
     if pos >= len(data) or not data[pos : pos + 1].isspace():

@@ -2,19 +2,21 @@
 
 All activations and weights are 32-bit floats.  Every operator is a pure
 function: inputs are never mutated and repeated evaluation is bit-identical.
-Convolutions accumulate in float32 in a fixed order: kernel taps in
-row-major order and, within a tap, the input channels in chunks of 256 in
-order, each chunk one sgemm added to the output.  Every sgemm call has the
-same shape for any worker count, so results are bit-identical for any
-``set_num_threads`` and any ``OPENBLAS_NUM_THREADS`` on one numpy/OpenBLAS
-build.
+Convolutions accumulate in float32 in a fixed order: row bands of the
+output in turn, kernel taps in row-major order and, within a tap, the input
+channels in chunks of 256 in order, each chunk one sgemm added to the
+output.  edanet starts no threads; OpenBLAS runs each sgemm on as many as
+``set_num_threads`` or ``OPENBLAS_NUM_THREADS`` gives it, and no sgemm shape
+depends on that count, so results are bit-identical for any count on one
+numpy/OpenBLAS build.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -198,36 +200,39 @@ class BnParams:
 
 
 # ---------------------------------------------------------------------------
-# intra-op threading
+# BLAS threads
 
-_threads_lock = threading.Lock()
-_num_threads = 1
-_pool: ThreadPoolExecutor | None = None
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, or None when numpy links another BLAS.
+    Opening the path numpy already loaded returns that same instance."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        lib = ctypes.CDLL(str(path))
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        return lib
+    return None
 
 
 def set_num_threads(n: int) -> None:
-    """Set the worker count for row-parallel operators (results are
-    bit-identical for any setting)."""
-    global _num_threads, _pool
+    """Set the thread count of numpy's bundled OpenBLAS, which runs every
+    sgemm (results are bit-identical for any count).  When numpy links
+    another BLAS, only check ``n``: that BLAS keeps its own count."""
     if n < 1:
         raise ValueError(f"thread count must be >= 1, got {n}")
-    with _threads_lock:
-        if n != _num_threads and _pool is not None:
-            _pool.shutdown(wait=True)
-            _pool = None
-        _num_threads = n
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(n)
 
 
-def get_num_threads() -> int:
-    return _num_threads
-
-
-def _get_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _threads_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_num_threads)
-        return _pool
+def get_num_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, or None when numpy
+    links another BLAS, whose thread count edanet neither sets nor reads."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +245,10 @@ def _get_pool() -> ThreadPoolExecutor:
 _CHANNEL_CHUNK = 256
 
 # conv2d computes its output in bands of whole rows holding about this many
-# pixels.  The bands, and so the shape of every sgemm call, do not depend on
-# the worker count: sgemm can round an output column differently when it is
-# among the last few columns of a call, so bands cut by worker count would
-# not be bit-identical.
+# pixels, one after another.  The bands fix the shape of every sgemm call and
+# keep each tap's input copy small.  sgemm can round an output column
+# differently when it is among the last few columns of a call, so changing
+# the band size changes the output bytes.
 _BAND_PIXELS = 8192
 
 
@@ -295,34 +300,23 @@ def conv2d(
     taps = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1))
     out = np.zeros((input.n, k.out_channels, out_h, out_w), np.float32)
 
-    def band(n: int, r0: int, r1: int) -> None:
-        for i in range(k.kh):
-            for j in range(k.kw):
-                y0 = r0 * stride + i * dilation
-                x0 = j * dilation
-                sl = x[
-                    n,
-                    :,
-                    y0 : y0 + (r1 - r0 - 1) * stride + 1 : stride,
-                    x0 : x0 + (out_w - 1) * stride + 1 : stride,
-                ]
-                _accumulate_product(
-                    out[n, :, r0:r1], taps[i, j], sl.reshape(k.in_channels, -1)
-                )
-
     step = max(1, _BAND_PIXELS // out_w)
-    bands = [
-        (n, r0, min(r0 + step, out_h))
-        for n in range(input.n)
-        for r0 in range(0, out_h, step)
-    ]
-    if get_num_threads() > 1 and len(bands) > 1:
-        futures = [_get_pool().submit(band, *b) for b in bands]
-        for f in futures:
-            f.result()
-    else:
-        for b in bands:
-            band(*b)
+    for n in range(input.n):
+        for r0 in range(0, out_h, step):
+            r1 = min(r0 + step, out_h)
+            for i in range(k.kh):
+                for j in range(k.kw):
+                    y0 = r0 * stride + i * dilation
+                    x0 = j * dilation
+                    sl = x[
+                        n,
+                        :,
+                        y0 : y0 + (r1 - r0 - 1) * stride + 1 : stride,
+                        x0 : x0 + (out_w - 1) * stride + 1 : stride,
+                    ]
+                    _accumulate_product(
+                        out[n, :, r0:r1], taps[i, j], sl.reshape(k.in_channels, -1)
+                    )
     if k.bias is not None:
         out += k.bias[:, None, None]
     return Tensor(out)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from edanet import analyzer, netdef, runtime, schedmetrics, tensorops
+from edanet import analyzer, netdef, runtime, schedmetrics
 from edanet.cli import main as cli_main
 from edanet.imageio import read_ppm, write_ppm
 from edanet.netdef import build_variant, parse_netspec, serialize_netspec
@@ -299,24 +299,21 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     net = tmp_path / "net.nspec"
     w = tmp_path / "w.edaw"
     failures = []
-    try:
-        assert cli_main(["build", "--variant", "edanet", "--out", str(net)]) == 0
-        assert cli_main(["init", "--net", str(net), "--seed", "42",
-                         "--out", str(w)]) == 0
-        blobs = []
-        for i, threads in enumerate(("1", "4", "1")):
-            out = tmp_path / f"seg{i}.pgm"
-            code = cli_main(["--threads", threads, "infer", "--net", str(net),
-                             "--weights", str(w), "--image", str(tmp_path / "in.ppm"),
-                             "--out", str(out)])
-            if code != 0:
-                failures.append(f"run {i}: exit code {code}")
-                break
-            blobs.append(out.read_bytes())
-        if not failures and len(set(blobs)) != 1:
-            failures.append("label maps differ across runs/thread counts")
-    finally:
-        tensorops.set_num_threads(1)
+    assert cli_main(["build", "--variant", "edanet", "--out", str(net)]) == 0
+    assert cli_main(["init", "--net", str(net), "--seed", "42",
+                     "--out", str(w)]) == 0
+    blobs = []
+    for i, threads in enumerate(("1", "4", "1")):
+        out = tmp_path / f"seg{i}.pgm"
+        code = cli_main(["--threads", threads, "infer", "--net", str(net),
+                         "--weights", str(w), "--image", str(tmp_path / "in.ppm"),
+                         "--out", str(out)])
+        if code != 0:
+            failures.append(f"run {i}: exit code {code}")
+            break
+        blobs.append(out.read_bytes())
+    if not failures and len(set(blobs)) != 1:
+        failures.append("label maps differ across runs/thread counts")
     report("criterion 9: end-to-end determinism (3 runs, threads 1/4)", failures)
 
 

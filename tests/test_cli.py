@@ -15,12 +15,6 @@ from edanet.imageio import read_pgm, read_ppm, write_ppm
 from edanet.tensorops import Tensor
 
 
-@pytest.fixture(autouse=True)
-def single_thread():
-    yield
-    tensorops.set_num_threads(1)
-
-
 @pytest.fixture
 def workdir(tmp_path):
     rng = np.random.default_rng(99)
@@ -93,6 +87,19 @@ class TestInfer:
                        "--out", seg) == 0
             blobs.append(seg.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.skipif(tensorops.get_num_threads() is None,
+                        reason="numpy links a BLAS other than its bundled OpenBLAS")
+    def test_blas_threads_change_only_with_threads_flag(self, workdir):
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        tensorops.set_num_threads(2)
+        assert run("build", "--variant", "shallow", "--out", net) == 0
+        assert run("init", "--net", net, "--seed", "3", "--out", w) == 0
+        assert run("infer", "--net", net, "--weights", w,
+                   "--image", workdir / "in.ppm", "--out", workdir / "a.pgm") == 0
+        assert tensorops.get_num_threads() == 2
+        assert run("--threads", "1", "build", "--variant", "shallow", "--out", net) == 0
+        assert tensorops.get_num_threads() == 1
 
     def test_fold_flag_matches_plain(self, workdir):
         net, w = workdir / "net.nspec", workdir / "w.edaw"

@@ -67,6 +67,12 @@ class TestReadPpm:
         with pytest.raises(ImageFormatError):
             read_ppm(b"P6\n17 ")
 
+    @pytest.mark.parametrize("read, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    def test_header_integer_past_digit_limit_rejected(self, read, magic):
+        """int() refuses strings over 4300 digits; that is a format error."""
+        with pytest.raises(ImageFormatError, match="5000 digits"):
+            read(magic + b"\n" + b"9" * 5000 + b" 1\n255\n\0\0\0")
+
 
 class TestPgm:
     def test_write_stores_raw_indices(self):

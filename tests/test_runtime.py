@@ -127,13 +127,10 @@ class TestForward:
         net = build_variant("shallow", classes=19)
         store = init_weights(net, seed=7)
         x = rand_input(2, shape=(1, 3, 64, 128))
-        try:
-            set_num_threads(1)
-            a = forward(net, store, x)
-            set_num_threads(4)
-            b = forward(net, store, x)
-        finally:
-            set_num_threads(1)
+        set_num_threads(1)
+        a = forward(net, store, x)
+        set_num_threads(4)
+        b = forward(net, store, x)
         assert np.array_equal(a.data.view(np.uint32), b.data.view(np.uint32))
 
     def test_projection_only_net_equals_conv2d(self):

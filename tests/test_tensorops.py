@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import edanet
 
+from edanet import tensorops
 from edanet.tensorops import (
     BN_EPS,
     BnParams,
@@ -185,25 +187,24 @@ class TestConv2d:
     def test_thread_count_bit_identical(self):
         rng = np.random.default_rng(5)
         # (in_c, out_c, h, w, k): a 3x3 kernel over several row bands; more
-        # than 256 input channels; and a 1x1 conv whose 40x33 output an even
-        # split by worker count would cut at 660 columns, where sgemm rounds
-        # the trailing columns of a call differently.
+        # than 256 input channels; and a 1x1 conv with a 40x33 output, a
+        # shape where sgemm rounds the trailing columns of a call
+        # differently if the call is cut at another column.
         for in_c, out_c, h, w, ks in ((6, 10, 128, 160, 3), (300, 8, 96, 100, 3),
                                       (40, 19, 40, 33, 1)):
             x = rand_tensor(rng, 1, in_c, h, w)
             k = rand_kernel(rng, out_c, in_c, ks, ks, bias=True)
             outs = []
-            try:
-                for threads in (1, 2, 4):
-                    set_num_threads(threads)
-                    outs.append(conv2d(x, k, pad_h=ks // 2, pad_w=ks // 2).data)
-            finally:
-                set_num_threads(1)
+            for threads in (1, 2, 4):
+                set_num_threads(threads)
+                outs.append(conv2d(x, k, pad_h=ks // 2, pad_w=ks // 2).data)
             for b in outs[1:]:
                 assert np.array_equal(outs[0].view(np.uint32), b.view(np.uint32)), in_c
 
 
-# Run in a child process, because OpenBLAS reads its thread count at import.
+# Run in child processes, to cover the thread count OpenBLAS takes from
+# OPENBLAS_NUM_THREADS when numpy loads it (set_num_threads changes it later;
+# see TestConv2d.test_thread_count_bit_identical).
 _BLAS_HASH_CHILD = """
 import hashlib
 import numpy as np
@@ -236,6 +237,45 @@ def test_blas_thread_count_bit_identical():
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+needs_openblas = pytest.mark.skipif(
+    tensorops.get_num_threads() is None,
+    reason="numpy links a BLAS other than its bundled OpenBLAS")
+
+
+class TestNumThreads:
+    @needs_openblas
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_set_count_reads_back(self, n):
+        set_num_threads(n)
+        assert tensorops.get_num_threads() == n
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            set_num_threads(0)
+
+    def test_conv2d_starts_no_thread(self):
+        rng = np.random.default_rng(6)
+        x = rand_tensor(rng, 1, 4, 128, 160)  # several row bands
+        k = rand_kernel(rng, 4, 4, 3, 3)
+        before = threading.active_count()
+        set_num_threads(2)
+        conv2d(x, k, pad_h=1, pad_w=1)
+        assert threading.active_count() == before
+
+    @needs_openblas
+    def test_other_blas_is_left_alone(self, monkeypatch):
+        """Without numpy's bundled OpenBLAS the count reads None, and
+        setting it checks the value and changes nothing."""
+        set_num_threads(1)
+        openblas = tensorops._openblas()
+        monkeypatch.setattr(tensorops, "_openblas", lambda: None)
+        assert tensorops.get_num_threads() is None
+        set_num_threads(2)
+        assert openblas.scipy_openblas_get_num_threads64_() == 1
+        with pytest.raises(ValueError, match=">= 1"):
+            set_num_threads(0)
 
 
 class TestSeparability:
