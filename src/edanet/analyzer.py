@@ -13,6 +13,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .blocks import (
     iter_prims,
     param_shapes,
 )
-from .netdef import NetworkSpec, expand_layer, spatial_divisor
+from .netdef import NetworkSpec, expand_layer
 from .tensorops import ShapeError
 
 __all__ = [
@@ -113,6 +114,13 @@ def _conv_out(size: int, k_eff: int, stride: int, pad: int, what: str) -> int:
     return out
 
 
+def _check_stride(h: int, w: int, stride: int, what: str) -> None:
+    """A strided step's input must be divisible by its stride, so each
+    stage shrinks by an exact factor."""
+    if h % stride or w % stride:
+        raise ShapeError(f"{what}: spatial dims {h}x{w} not divisible by stride {stride}")
+
+
 def _learned_params(prim) -> int:
     """Learned parameters of one step; BN running statistics are buffers."""
     return sum(
@@ -166,6 +174,7 @@ def _walk(node, shape, rf: _RfState, acc: _Acc):
             raise ShapeError(
                 f"{node.name}: expects {node.in_ch} input channels, got {c}"
             )
+        _check_stride(h, w, node.stride, node.name)
         ekh = effective_kernel(node.kh, node.dilation)
         ekw = effective_kernel(node.kw, node.dilation)
         oh = _conv_out(h, ekh, node.stride, node.pad_h, node.name)
@@ -195,19 +204,13 @@ def _walk(node, shape, rf: _RfState, acc: _Acc):
     if isinstance(node, (ReluStep, DropoutStep)):
         return shape, rf
     if isinstance(node, MaxPoolStep):
+        _check_stride(h, w, node.stride, "maxpool")
         oh = _conv_out(h, node.k, node.stride, node.pad, "maxpool")
         ow = _conv_out(w, node.k, node.stride, node.pad, "maxpool")
-        if node.k == node.stride and node.pad == 0 and (h % node.stride or w % node.stride):
-            raise ShapeError(
-                f"maxpool: spatial dims {h}x{w} not divisible by stride {node.stride}"
-            )
         rf.grow(node.k, node.k, Fraction(node.stride), Fraction(node.stride))
         return (c, oh, ow), rf
     if isinstance(node, AvgPoolStep):
-        if node.k == node.stride and (h % node.stride or w % node.stride):
-            raise ShapeError(
-                f"avgpool: spatial dims {h}x{w} not divisible by stride {node.stride}"
-            )
+        _check_stride(h, w, node.stride, "avgpool")
         oh = _conv_out(h, node.k, node.stride, 0, "avgpool")
         ow = _conv_out(w, node.k, node.stride, 0, "avgpool")
         rf.grow(node.k, node.k, Fraction(node.stride), Fraction(node.stride))
@@ -220,22 +223,26 @@ def _walk(node, shape, rf: _RfState, acc: _Acc):
 
 def analyze(net: NetworkSpec, input_shape: tuple = (3, 512, 1024)) -> AnalysisReport:
     """Full static pass: per-layer shape, params, multiply-adds, and
-    receptive field for the given input (channels, h, w)."""
-    c, h, w = input_shape
-    div = spatial_divisor(net)
-    if h % div or w % div:
-        raise ShapeError(
-            f"input {h}x{w} not divisible by the network's downsampling "
-            f"factor {div}"
-        )
-    shape = (c, h, w)
+    receptive field for the given input (channels, h, w).  ``forward``
+    runs this pass before any layer, so every shape error surfaces here."""
+    return _analyze(net, tuple(input_shape))
+
+
+@functools.lru_cache(maxsize=256)
+def _analyze(net: NetworkSpec, input_shape: tuple) -> AnalysisReport:
+    """``analyze``, computed once per (network, input shape); both hash by
+    value and the report is immutable."""
+    shape = input_shape
     rf = _RfState(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
     reports = []
     total_params = 0
     total_macs = 0
     for layer in net.layers:
         acc = _Acc()
-        shape, rf = _walk(expand_layer(layer), shape, rf, acc)
+        try:
+            shape, rf = _walk(expand_layer(layer), shape, rf, acc)
+        except ShapeError as exc:
+            raise ShapeError(f"layer {layer.name!r}: {exc}") from None
         total_params += acc.params
         total_macs += acc.macs
         reports.append(
@@ -311,23 +318,19 @@ def _shape_str(shape) -> str:
     return "x".join(str(d) for d in shape)
 
 
-def _rf_str(v) -> str:
-    return str(v)
-
-
 def render_report(report: AnalysisReport, format: str = "table") -> str:
     """Deterministic text rendering; CSV rows are
     layer,out_shape,params,macs,rf_h,rf_w with a totals row last."""
     layers = report.layers
     final_shape = _shape_str(layers[-1].out_shape) if layers else "-"
-    final_rf_h = _rf_str(layers[-1].rf_h) if layers else "0"
-    final_rf_w = _rf_str(layers[-1].rf_w) if layers else "0"
+    final_rf_h = str(layers[-1].rf_h) if layers else "0"
+    final_rf_w = str(layers[-1].rf_w) if layers else "0"
     if format == "csv":
         rows = ["layer,out_shape,params,macs,rf_h,rf_w"]
         for l in layers:
             rows.append(
                 f"{l.name},{_shape_str(l.out_shape)},{l.params},"
-                f"{l.multiply_adds},{_rf_str(l.rf_h)},{_rf_str(l.rf_w)}"
+                f"{l.multiply_adds},{l.rf_h},{l.rf_w}"
             )
         rows.append(
             f"total,{final_shape},{report.total_params},"
@@ -345,8 +348,8 @@ def render_report(report: AnalysisReport, format: str = "table") -> str:
             _shape_str(l.out_shape),
             str(l.params),
             str(l.multiply_adds),
-            _rf_str(l.rf_h),
-            _rf_str(l.rf_w),
+            str(l.rf_h),
+            str(l.rf_w),
             str(l.effective_kernel) if l.effective_kernel else "-",
         ])
     body.append([

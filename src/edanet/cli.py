@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -100,59 +101,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def cmd_build(args) -> int:
     net = netdef.build_variant(args.variant, classes=args.classes,
                                upscale=args.upscale)
-    _write_text(args.out, netdef.serialize_netspec(net))
+    Path(args.out).write_text(netdef.serialize_netspec(net), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    net = netdef.parse_netspec(_read_text(args.net))
+    net = netdef.parse_netspec(Path(args.net).read_text(encoding="utf-8"))
     h, w = args.input_size
     report = analyzer.analyze(net, (3, h, w))
     text = analyzer.render_report(report, format=args.format)
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_init(args) -> int:
-    net = netdef.parse_netspec(_read_text(args.net))
+    net = netdef.parse_netspec(Path(args.net).read_text(encoding="utf-8"))
     store = runtime.init_weights(net, args.seed)
     runtime.save_weights(store, args.out)
     return EXIT_OK
 
 
 def cmd_infer(args) -> int:
-    net = netdef.parse_netspec(_read_text(args.net))
+    net = netdef.parse_netspec(Path(args.net).read_text(encoding="utf-8"))
+    if net.classes > 256:
+        raise ValueError(f"a P5 label map holds at most 256 classes, got {net.classes}")
     store = runtime.load_weights(args.weights)
-    image = imageio.read_ppm(_read_bytes(args.image))
+    image = imageio.read_ppm(Path(args.image).read_bytes())
     if args.color:
         if args.palette:
-            palette = imageio.load_palette(_read_text(args.palette))
+            palette = imageio.load_palette(Path(args.palette).read_text(encoding="utf-8"))
         else:
             palette = imageio.default_palette(net.classes)
         if len(palette) < net.classes:
@@ -161,9 +144,9 @@ def cmd_infer(args) -> int:
         folded = runtime.fold_batch_norm(net, store)
         net, store = folded.net, folded.weights
     labels = runtime.infer_image(net, store, image)
-    _write_bytes(args.out, imageio.write_pgm(labels))
+    Path(args.out).write_bytes(imageio.write_pgm(labels))
     if args.color:
-        _write_bytes(args.color, imageio.colorize(labels, palette))
+        Path(args.color).write_bytes(imageio.colorize(labels, palette))
     if args.bench > 0:
         start = time.perf_counter()
         for _ in range(args.bench):
@@ -174,10 +157,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_fold(args) -> int:
-    net = netdef.parse_netspec(_read_text(args.net))
+    net = netdef.parse_netspec(Path(args.net).read_text(encoding="utf-8"))
     store = runtime.load_weights(args.weights)
     folded = runtime.fold_batch_norm(net, store)
-    _write_text(args.out_net, netdef.serialize_netspec(folded.net))
+    Path(args.out_net).write_text(netdef.serialize_netspec(folded.net), encoding="utf-8")
     runtime.save_weights(folded.weights, args.out_weights)
     return EXIT_OK
 

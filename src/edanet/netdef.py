@@ -9,6 +9,7 @@ primitive-step tree the analyzer and executor consume.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -35,7 +36,6 @@ __all__ = [
     "serialize_netspec",
     "expand_layer",
     "layer_out_channels",
-    "spatial_divisor",
 ]
 
 VARIANTS = (
@@ -486,23 +486,6 @@ def _parse_kv(token: str, line_no: int, col: int) -> tuple[str, str]:
     return key, value
 
 
-def _tokenize(raw: str) -> list[tuple[str, int]]:
-    """Split a line into (token, 1-based column) pairs, dropping comments."""
-    code = raw.split("#", 1)[0]
-    out = []
-    col = 0
-    while col < len(code):
-        if code[col].isspace():
-            col += 1
-            continue
-        end = col
-        while end < len(code) and not code[end].isspace():
-            end += 1
-        out.append((code[col:end], col + 1))
-        col = end
-    return out
-
-
 def parse_netspec(text: str) -> NetworkSpec:
     """Parse the ``.nspec`` format; raises NetspecError with the offending
     line and column on malformed input."""
@@ -511,7 +494,9 @@ def parse_netspec(text: str) -> NetworkSpec:
     layer_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+        # (token, 1-based column) pairs of the line, comment dropped
+        code = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
         if not tokens:
             continue
         (kind, kind_col) = tokens[0]
@@ -678,27 +663,3 @@ def fold_layer(layer: LayerSpec) -> LayerSpec:
     if layer.kind in ("conv", "deconv") and layer.bn:
         return replace(layer, bn=False)
     return layer
-
-
-def _node_stride(node) -> int:
-    """Cumulative downsampling stride of a node (upsampling steps count
-    as 1; parallel branches share one stride)."""
-    if isinstance(node, Chain):
-        s = 1
-        for item in node.steps:
-            s *= _node_stride(item)
-        return s
-    if isinstance(node, blocks.Parallel):
-        return _node_stride(node.branches[0])
-    if isinstance(node, (ConvStep, MaxPoolStep, AvgPoolStep)):
-        return node.stride
-    return 1
-
-
-def spatial_divisor(net: NetworkSpec) -> int:
-    """Product of all downsampling strides; input spatial dims must be
-    divisible by it so every stage halves exactly."""
-    div = 1
-    for layer in net.layers:
-        div *= _node_stride(expand_layer(layer))
-    return div

@@ -34,7 +34,8 @@ from .blocks import (
     iter_prims,
     param_shapes,
 )
-from .netdef import NetworkSpec, expand_layer, fold_layer, spatial_divisor
+from .analyzer import analyze
+from .netdef import NetworkSpec, expand_layer, fold_layer
 from .tensorops import (
     BN_EPS,
     BnParams,
@@ -320,22 +321,15 @@ def _eval(node, x: Tensor, store: WeightStore, used: list) -> Tensor:
 
 
 def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
-    """Execute the network on one tensor.  Every stored parameter must be
-    consumed exactly once; a missing or dangling weight is an error naming
-    the offender."""
-    div = spatial_divisor(net)
-    if input.h % div or input.w % div:
-        raise ShapeError(
-            f"input {input.h}x{input.w} not divisible by the network's "
-            f"downsampling factor {div}"
-        )
+    """Execute the network on one tensor.  The analyzer's pass checks every
+    shape before any layer runs.  Every stored parameter must be consumed
+    exactly once; a missing, dangling or mis-shaped weight is an error
+    naming the offender."""
+    analyze(net, input.shape[1:])
     used: list = []
     x = input
     for layer in net.layers:
-        try:
-            x = _eval(expand_layer(layer), x, weights, used)
-        except (WeightError, ShapeError) as exc:
-            raise type(exc)(f"layer {layer.name!r}: {exc}") from None
+        x = _eval(expand_layer(layer), x, weights, used)
     _check_consumed(weights, used)
     return x
 

@@ -286,6 +286,27 @@ class TestExitCodes:
                    "--out", workdir / "o.pgm") == 4
         assert not out_net.exists() and not out_w.exists()
 
+    def test_too_many_classes_for_label_map_fails_before_inference(
+            self, workdir, monkeypatch, capsys):
+        """A P5 label map holds one byte per pixel: more than 256 classes
+        is rejected before the network runs."""
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        run("build", "--variant", "shallow", "--classes", "300", "--upscale", "1",
+            "--out", net)
+        run("init", "--net", net, "--seed", "1", "--out", w)
+        infer, calls = runtime.infer_image, []
+
+        def counted(*args):
+            calls.append(args)
+            return infer(*args)
+
+        monkeypatch.setattr(runtime, "infer_image", counted)
+        seg = workdir / "seg.pgm"
+        assert run("infer", "--net", net, "--weights", w, "--image", workdir / "in.ppm",
+                   "--out", seg) == 4
+        assert "at most 256 classes, got 300" in capsys.readouterr().err
+        assert calls == [] and not seg.exists()
+
     def test_wrong_image_size_is_validation_error(self, workdir, capsys):
         net, w = workdir / "net.nspec", workdir / "w.edaw"
         run("build", "--variant", "shallow", "--out", net)

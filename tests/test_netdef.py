@@ -2,6 +2,7 @@
 
 import pytest
 
+from edanet.analyzer import analyze
 from edanet.netdef import (
     LayerSpec,
     NetspecError,
@@ -11,8 +12,8 @@ from edanet.netdef import (
     layer_out_channels,
     parse_netspec,
     serialize_netspec,
-    spatial_divisor,
 )
+from edanet.tensorops import ShapeError
 
 
 class TestVariants:
@@ -75,7 +76,13 @@ class TestVariants:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_spatial_divisor_is_eight(self, variant):
-        assert spatial_divisor(build_variant(variant, classes=19)) == 8
+        """Three stages each halve their input exactly, so the input's
+        height and width must be multiples of 8."""
+        net = build_variant(variant, classes=19)
+        analyze(net, (3, 8, 16))
+        for h, w in ((12, 16), (8, 20), (4, 8)):
+            with pytest.raises(ShapeError, match="not divisible by stride 2"):
+                analyze(net, (3, h, w))
 
     def test_camvid_configuration(self):
         net = build_variant("edanet", classes=11, upscale=1, train_size=(360, 480))

@@ -9,7 +9,7 @@ from edanet import blocks, netdef, runtime
 from edanet.analyzer import analyze
 from edanet.blocks import BnStep, Chain, fold_bn
 from edanet.netdef import (
-    LayerSpec, NetworkSpec, build_variant, parse_netspec, serialize_netspec, spatial_divisor,
+    LayerSpec, NetworkSpec, build_variant, parse_netspec, serialize_netspec,
 )
 from edanet.runtime import (
     FoldError,
@@ -34,6 +34,18 @@ from edanet.tensorops import (
 )
 
 SMALL_INPUT = (1, 3, 16, 32)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` in the returned list."""
+    fn, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def rand_input(seed=0, shape=SMALL_INPUT, lo=0.0, hi=1.0):
@@ -193,6 +205,39 @@ class TestForward:
         with pytest.raises(ShapeError, match="divisible"):
             forward(net, store, rand_input(shape=(1, 3, 20, 32)))
 
+    def test_stage_that_cannot_halve_fails_before_any_layer_runs(self, monkeypatch):
+        """A 3x3 stride-2 conv without padding takes 16 to 7, which the
+        pool cannot halve: the static pass rejects it before the conv."""
+        net = NetworkSpec("t", 4, [
+            LayerSpec("conv", "c", in_ch=3, out_ch=4, kh=3, kw=3, stride=2),
+            LayerSpec("maxpool", "p", k=2, stride=2),
+        ])
+        store = init_weights(net, seed=1)
+        calls = count_calls(monkeypatch, runtime, "conv2d")
+        with pytest.raises(ShapeError, match="layer 'p': maxpool: .* not divisible by stride 2"):
+            forward(net, store, rand_input(shape=(1, 3, 16, 16)))
+        assert calls == []
+
+    def test_each_stage_checked_on_its_own_input(self):
+        """Halving, doubling and halving again is exact on 6x6, though
+        the strides multiply to 4."""
+        net = NetworkSpec("t", 3, [
+            LayerSpec("maxpool", "p1", k=2, stride=2),
+            LayerSpec("bilinear", "up", factor=2),
+            LayerSpec("maxpool", "p2", k=2, stride=2),
+        ])
+        assert analyze(net, (3, 6, 6)).layers[-1].out_shape == (3, 3, 3)
+        out = forward(net, WeightStore(), rand_input(shape=(1, 3, 6, 6)))
+        assert out.shape == (1, 3, 3, 3)
+
+    def test_wrong_channel_count_fails_before_any_layer_runs(self, monkeypatch):
+        net = build_variant("shallow", classes=19)
+        store = init_weights(net, seed=7)
+        calls = count_calls(monkeypatch, runtime, "conv2d")
+        with pytest.raises(ShapeError, match="expects 3 input channels, got 4"):
+            forward(net, store, rand_input(shape=(1, 4, 16, 32)))
+        assert calls == []
+
     def test_expands_each_layer_once_in_layer_order(self, monkeypatch):
         """Per-layer timing from outside the package marks each layer by
         the forward pass's call to edanet.runtime.expand_layer."""
@@ -227,7 +272,6 @@ class TestForward:
             forward(folded.net, folded.weights, rand_input())
         analyze(folded.net, SMALL_INPUT[1:])
         init_weights(folded.net, seed=1)
-        spatial_divisor(folded.net)
         assert calls == []
         layer = folded.net.layers[0]  # a folded downsampler
         assert netdef.expand_layer(layer) is netdef.expand_layer(layer)
