@@ -209,6 +209,19 @@ def _check_dilation(rng: np.random.Generator) -> str | None:
     return None
 
 
+def _check_readout(rng: np.random.Generator) -> str | None:
+    """The banded readout must give the labels of the full-size resize and
+    argmax bit for bit, on tied maxima and a NaN logit too."""
+    for in_hw, out_hw in (((7, 9), (13, 31)), ((9, 10), (4, 3))):
+        data = rng.integers(-2, 3, (1, 5) + in_hw).astype(np.float32)
+        data[0, 3, in_hw[0] // 2, in_hw[1] // 2] = np.nan
+        x = Tensor(data)
+        want = tensorops.argmax_channels(tensorops.bilinear_resize(x, *out_hw))
+        if not np.array_equal(tensorops.resize_argmax(x, *out_hw), want):
+            return f"{in_hw} -> {out_hw}: label maps differ"
+    return None
+
+
 def _check_fold(rng: np.random.Generator) -> str | None:
     """Folded and unfolded forward passes must agree to 1e-4."""
     net = netdef.build_variant("edanet", classes=19)
@@ -271,6 +284,7 @@ def cmd_selftest(args) -> int:
     checks = [
         ("separability", lambda: _check_separability(rng)),
         ("dilation-equivalence", lambda: _check_dilation(rng)),
+        ("readout-equivalence", lambda: _check_readout(rng)),
         ("bn-fold-equivalence", lambda: _check_fold(rng)),
         ("analyzer-regressions", _check_analyzer),
     ]

@@ -54,6 +54,7 @@ from .tensorops import (
     global_avg_pool,
     max_pool2d,
     relu,
+    resize_argmax,
     transposed_conv2d,
 )
 
@@ -335,20 +336,22 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
 
 
 def infer_image(net: NetworkSpec, weights: WeightStore, image: Tensor) -> LabelMap:
-    """End-to-end inference: forward pass, bilinear upscale of the logits
-    by the network's inference factor, then per-pixel channel argmax."""
+    """End-to-end inference: forward pass, then the per-pixel channel
+    argmax of the logits bilinearly upscaled by the network's inference
+    factor, computed band by band (``resize_argmax``) so the upscaled
+    logits are never held in full."""
     if image.n != 1:
         raise ShapeError(f"inference expects batch size 1, got {image.n}")
     lo, hi = float(image.data.min()), float(image.data.max())
-    if lo < 0.0 or hi > 1.0:
+    if not (lo >= 0.0 and hi <= 1.0):
         raise ValueError(
             f"image values must lie in [0, 1], got [{lo:.4g}, {hi:.4g}]"
         )
     logits = forward(net, weights, image)
     u = net.inference_upscale
-    if u > 1:
-        logits = bilinear_resize(logits, logits.h * u, logits.w * u)
-    return argmax_channels(logits)
+    if u == 1:
+        return argmax_channels(logits)
+    return resize_argmax(logits, logits.h * u, logits.w * u)
 
 
 # ---------------------------------------------------------------------------

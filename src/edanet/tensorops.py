@@ -8,7 +8,10 @@ channels in chunks of 256 in order, each chunk one sgemm added to the
 output.  edanet starts no threads; OpenBLAS runs each sgemm on as many as
 ``set_num_threads`` or ``OPENBLAS_NUM_THREADS`` gives it, and no sgemm shape
 depends on that count, so results are bit-identical for any count on one
-numpy/OpenBLAS build.
+numpy/OpenBLAS build.  The readout ``resize_argmax`` runs bands of output
+rows one after another; within a band it blends along x the input rows the
+band reads, then along y, then takes the channel argmax, the same float32
+operations per pixel as ``bilinear_resize`` followed by ``argmax_channels``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "add",
     "bilinear_resize",
     "argmax_channels",
+    "resize_argmax",
     "zero_insert_kernel",
     "set_num_threads",
     "get_num_threads",
@@ -474,6 +478,29 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # resampling and readout
 
+def _axis_coords(n_in: int, n_out: int):
+    """Per output index d along one axis: the two source indices and the
+    float32 weight of the second, for the source coordinate
+    (d + 0.5) * (n_in / n_out) - 0.5 clamped to [0, n_in - 1]."""
+    s = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    s = np.clip(s, 0.0, n_in - 1)
+    lo = np.floor(s).astype(np.int64)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = (s - lo).astype(np.float32)
+    return lo, hi, frac
+
+
+def _blend(a: np.ndarray, lo, hi, frac: np.ndarray, axis: int) -> np.ndarray:
+    """a[lo] * (1 - frac) + a[hi] * frac along ``axis``, in float32; ``frac``
+    broadcasts against the gathered arrays."""
+    out = np.take(a, lo, axis=axis)
+    out *= np.float32(1.0) - frac
+    right = np.take(a, hi, axis=axis)
+    right *= frac
+    out += right
+    return out
+
+
 def bilinear_resize(input: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear resampling with half-pixel centers and edge clamping.
 
@@ -483,31 +510,10 @@ def bilinear_resize(input: Tensor, out_h: int, out_w: int) -> Tensor:
     """
     if out_h < 1 or out_w < 1:
         raise ValueError("output dims must be >= 1")
-
-    def axis_coords(n_in: int, n_out: int):
-        s = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-        s = np.clip(s, 0.0, n_in - 1)
-        lo = np.floor(s).astype(np.int64)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = (s - lo).astype(np.float32)
-        return lo, hi, frac
-
-    y0, y1, fy = axis_coords(input.h, out_h)
-    x0, x1, fx = axis_coords(input.w, out_w)
-    one = np.float32(1.0)
-    rows = np.take(input.data, x0, axis=3)
-    rows *= one - fx
-    right = np.take(input.data, x1, axis=3)
-    right *= fx
-    rows += right
-    del right
-    fy = fy[:, None]
-    top = np.take(rows, y0, axis=2)
-    top *= one - fy
-    bot = np.take(rows, y1, axis=2)
-    bot *= fy
-    top += bot
-    return Tensor(top)
+    y0, y1, fy = _axis_coords(input.h, out_h)
+    x0, x1, fx = _axis_coords(input.w, out_w)
+    rows = _blend(input.data, x0, x1, fx, axis=3)
+    return Tensor(_blend(rows, y0, y1, fy[:, None], axis=2))
 
 
 def argmax_channels(input: Tensor) -> LabelMap:
@@ -515,3 +521,38 @@ def argmax_channels(input: Tensor) -> LabelMap:
     if input.n != 1:
         raise ShapeError(f"argmax_channels expects batch size 1, got {input.n}")
     return np.argmax(input.data[0], axis=0).astype(np.int32)
+
+
+# resize_argmax works on bands of whole output rows holding about this many
+# pixels, one after another.  Every pixel gets the same float32 operations
+# whatever the band size, so the band size changes only speed and memory.
+_READOUT_BAND_PIXELS = 16384
+
+
+def resize_argmax(logits: Tensor, out_h: int, out_w: int) -> LabelMap:
+    """The label map ``argmax_channels(bilinear_resize(logits, out_h,
+    out_w))``, bit for bit, without building the resized logits.
+
+    One channels-last copy of the logits is made; then, for each band of
+    output rows in turn, only the input rows the band reads are blended
+    along x, those are blended along y, and the channel argmax of the band
+    is written into the label map.
+    """
+    if logits.n != 1:
+        raise ShapeError(f"resize_argmax expects batch size 1, got {logits.n}")
+    if out_h < 1 or out_w < 1:
+        raise ValueError("output dims must be >= 1")
+    y0, y1, fy = _axis_coords(logits.h, out_h)
+    x0, x1, fx = _axis_coords(logits.w, out_w)
+    fx = fx[:, None]
+    fy = fy[:, None, None]
+    hwc = np.ascontiguousarray(logits.data[0].transpose(1, 2, 0))
+    labels = np.empty((out_h, out_w), np.int32)
+    step = max(1, _READOUT_BAND_PIXELS // out_w)
+    for r0 in range(0, out_h, step):
+        r1 = min(r0 + step, out_h)
+        first = y0[r0]
+        rows = _blend(hwc[first : y1[r1 - 1] + 1], x0, x1, fx, axis=1)
+        band = _blend(rows, y0[r0:r1] - first, y1[r0:r1] - first, fy[r0:r1], axis=0)
+        labels[r0:r1] = np.argmax(band, axis=-1)
+    return labels

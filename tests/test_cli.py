@@ -181,7 +181,7 @@ class TestSelftest:
     def test_passes_on_clean_build(self, capsys):
         assert run("selftest") == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "FAIL" not in out
 
     def test_fold_check_detects_single_weight_perturbation(self):

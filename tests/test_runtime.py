@@ -29,8 +29,8 @@ from edanet.runtime import (
     splitmix64,
 )
 from edanet.tensorops import (
-    BN_EPS, BnParams, Kernel, ShapeError, Tensor, batch_norm, bilinear_resize, conv2d,
-    global_avg_pool, relu, set_num_threads,
+    BN_EPS, BnParams, Kernel, ShapeError, Tensor, argmax_channels, batch_norm,
+    bilinear_resize, conv2d, global_avg_pool, relu, set_num_threads,
 )
 
 SMALL_INPUT = (1, 3, 16, 32)
@@ -464,6 +464,41 @@ class TestInferImage:
                 store[name] = np.zeros_like(store[name])
         labels = infer_image(net, store, rand_input(1))
         assert np.all(labels == 0)
+
+    def test_upscaled_readout_builds_no_full_size_logits(self, monkeypatch):
+        """At upscale 2 the labels come from the banded readout alone: no
+        full-size resize and no separate argmax, and the labels equal the
+        composed ops on the same logits."""
+        net = NetworkSpec("p", 5, [
+            LayerSpec("projection", "proj", in_ch=3, classes=5),
+        ], inference_upscale=2)
+        store = init_weights(net, seed=3)
+        x = rand_input(3, shape=(1, 3, 9, 14))
+        logits = forward(net, store, x)
+        resized = count_calls(monkeypatch, runtime, "bilinear_resize")
+        argmaxed = count_calls(monkeypatch, runtime, "argmax_channels")
+        labels = infer_image(net, store, x)
+        assert resized == [] and argmaxed == []
+        assert labels.shape == (18, 28)
+        assert np.array_equal(
+            labels, argmax_channels(bilinear_resize(logits, 18, 28))
+        )
+
+    def test_unit_upscale_is_the_argmax_of_the_logits(self):
+        net = build_variant("shallow", classes=19, upscale=1)
+        store = init_weights(net, seed=4)
+        x = rand_input(4)
+        want = argmax_channels(forward(net, store, x))
+        assert np.array_equal(infer_image(net, store, x), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_pixel_rejected(self, bad):
+        net = build_variant("shallow", classes=19)
+        store = init_weights(net, seed=0)
+        data = rand_input(0, shape=(1, 3, 32, 64)).data.copy()
+        data[0, 1, 5, 7] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            infer_image(net, store, Tensor(data))
 
     def test_out_of_range_values_rejected(self):
         net = build_variant("shallow", classes=19)

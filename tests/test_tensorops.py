@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from edanet.tensorops import (
     global_avg_pool,
     max_pool2d,
     relu,
+    resize_argmax,
     set_num_threads,
     transposed_conv2d,
     zero_insert_kernel,
@@ -531,6 +533,66 @@ class TestBilinearResize:
         got = bilinear_resize(x, *out_hw).data
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def tied_logits_with_nan(seed, c, h, w):
+    """Integer-valued logits, so the blends tie often; channels 1 and 2
+    tie for the maximum over a whole row, and one logit is NaN."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-3, 4, (1, c, h, w)).astype(np.float32)
+    data[0, 1:3, h // 2] = 9.0
+    data[0, c - 1, h - 1, w // 2] = np.nan
+    return Tensor(data)
+
+
+class TestResizeArgmax:
+    BAND_ROWS = tensorops._READOUT_BAND_PIXELS // 40
+
+    @pytest.mark.parametrize("in_hw,out_hw", [
+        ((7, 9), (13, 31)),
+        ((9, 10), (4, 3)),
+        ((1, 1), (5, 6)),
+        ((5, 7), (2 * BAND_ROWS + BAND_ROWS // 3, 40)),
+    ], ids=["up_odd", "down", "from_1x1", "partial_last_band"])
+    def test_matches_resize_then_argmax_bit_for_bit(self, in_hw, out_hw):
+        x = tied_logits_with_nan(21, 6, *in_hw)
+        want = argmax_channels(bilinear_resize(x, *out_hw))
+        got = resize_argmax(x, *out_hw)
+        assert got.dtype == np.int32 and want.dtype == np.int32
+        assert np.array_equal(got, want)
+
+    def test_ties_and_nan_reach_the_label_map(self):
+        """The planted row tie goes to the lower channel and the NaN
+        logit's channel wins wherever the blend reads it."""
+        x = tied_logits_with_nan(22, 6, 7, 9)
+        got = resize_argmax(x, 13, 31)
+        assert np.any(got == 1)
+        assert np.any(got == 5)
+
+    def test_one_row_bands_give_the_same_labels(self, monkeypatch):
+        x = tied_logits_with_nan(23, 5, 7, 9)
+        want = resize_argmax(x, 29, 17)
+        monkeypatch.setattr(tensorops, "_READOUT_BAND_PIXELS", 1)
+        assert np.array_equal(resize_argmax(x, 29, 17), want)
+
+    def test_never_holds_the_upscaled_logits(self):
+        """19x256x512 read out at 512x1024 allocates less than half of the
+        38 MiB the upscaled float32 logits would take."""
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((1, 19, 256, 512)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            resize_argmax(x, 512, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 512 * 1024 * 4 / 2
+
+    def test_rejects_batch_and_empty_output(self):
+        with pytest.raises(ShapeError, match="batch"):
+            resize_argmax(Tensor.zeros(2, 1, 2, 2), 4, 4)
+        with pytest.raises(ValueError, match=">= 1"):
+            resize_argmax(Tensor.zeros(1, 1, 2, 2), 0, 4)
 
 
 class TestArgmax:
