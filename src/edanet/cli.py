@@ -43,12 +43,21 @@ def _parse_seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edanet",
         description="Build, analyze, and run EDANet-family segmentation networks.",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_int_at_least(1), default=None,
                         help="threads of numpy's bundled OpenBLAS, which runs the convolutions "
                              "(default: as the process started; ignored with another BLAS)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="palette text file (one 'r g b' line per class)")
     p.add_argument("--fold", action="store_true",
                    help="fold BN into convolutions once, before the first run")
-    p.add_argument("--bench", type=int, default=0, metavar="N",
+    p.add_argument("--bench", type=_int_at_least(0), default=0, metavar="N",
                    help="report mean wall-clock over N extra runs (folding excluded)")
     p.set_defaults(func=cmd_infer)
 

@@ -35,7 +35,7 @@ from .blocks import (
     param_shapes,
 )
 from .analyzer import analyze
-from .netdef import NetworkSpec, expand_layer, fold_layer
+from .netdef import NetworkSpec, _lowered, expand_layer, fold_layer
 from .tensorops import (
     BN_EPS,
     BnParams,
@@ -283,10 +283,17 @@ def _check_consumed(store: WeightStore, used: list) -> None:
         )
 
 
-def _eval(node, x: Tensor, store: WeightStore, used: list) -> Tensor:
+def _eval(node, x: Tensor, store: WeightStore, used: list, fuse_relu: bool = False) -> Tensor:
+    """Run ``node`` on ``x``; in a chain, a convolution directly followed
+    by a ReLU runs as one ``conv2d(..., relu=True)``."""
     if isinstance(node, Chain):
-        for step in node.steps:
-            x = _eval(step, x, store, used)
+        fused = False
+        for step, after in zip(node.steps, node.steps[1:] + (None,)):
+            if not fused:
+                fused = isinstance(step, ConvStep) and isinstance(after, ReluStep)
+                x = _eval(step, x, store, used, fused)
+            else:  # the ReLU ran inside the convolution before it
+                fused = False
         return x
     if isinstance(node, Parallel):
         out = None
@@ -301,7 +308,8 @@ def _eval(node, x: Tensor, store: WeightStore, used: list) -> Tensor:
         return bilinear_resize(y, x.h, x.w)
     if isinstance(node, ConvStep):
         return conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride,
-                      dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w)
+                      dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w,
+                      relu=fuse_relu)
     if isinstance(node, DeconvStep):
         return transposed_conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride)
     if isinstance(node, BnStep):
@@ -325,12 +333,29 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     """Execute the network on one tensor.  The analyzer's pass checks every
     shape before any layer runs.  Every stored parameter must be consumed
     exactly once; a missing, dangling or mis-shaped weight is an error
-    naming the offender."""
-    analyze(net, input.shape[1:])
+    naming the offender.  A run of dense layers (a ``Parallel`` whose first
+    branch is the identity) grows in one buffer at the run's final width:
+    each layer writes its new channels after the filled prefix it reads."""
+    report = analyze(net, input.shape[1:])
+    dense = [isinstance(node, Parallel) and node.branches[0] == Chain([])
+             for node in map(_lowered, net.layers)]
     used: list = []
-    x = input
-    for layer in net.layers:
-        x = _eval(expand_layer(layer), x, weights, used)
+    x, stage = input, None
+    for k, layer in enumerate(net.layers):
+        node = expand_layer(layer)
+        if not dense[k]:
+            x, stage = _eval(node, x, weights, used), None
+            continue
+        if stage is None:
+            end = next((e for e in range(k, len(dense)) if not dense[e]), len(dense))
+            stage = np.empty((x.n, report.layers[end - 1].out_shape[0], x.h, x.w), np.float32)
+            stage[:, : x.c] = x.data
+        c = x.c
+        for branch in node.branches[1:]:
+            y = _eval(branch, x, weights, used)
+            stage[:, c : c + y.c] = y.data
+            c += y.c
+        x = Tensor(stage[:, :c])
     _check_consumed(weights, used)
     return x
 

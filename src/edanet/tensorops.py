@@ -4,14 +4,17 @@ All activations and weights are 32-bit floats.  Every operator is a pure
 function: inputs are never mutated and repeated evaluation is bit-identical.
 Convolutions accumulate in float32 in a fixed order: row bands of the
 output in turn, kernel taps in row-major order and, within a tap, the input
-channels in chunks of 256 in order, each chunk one sgemm added to the
-output.  edanet starts no threads; OpenBLAS runs each sgemm on as many as
-``set_num_threads`` or ``OPENBLAS_NUM_THREADS`` gives it, and no sgemm shape
-depends on that count, so results are bit-identical for any count on one
-numpy/OpenBLAS build.  The readout ``resize_argmax`` runs bands of output
-rows one after another; within a band it blends along x the input rows the
-band reads, then along y, then takes the channel argmax, the same float32
-operations per pixel as ``bilinear_resize`` followed by ``argmax_channels``.
+channels in chunks of 256 in order, each chunk one sgemm.  The first sgemm
+of a band writes it and later ones are added; padding is handled per band
+(a tap's operand holds zeros where it reads outside the image), and the
+bias and an optional ReLU are applied to each finished band.  edanet starts
+no threads; OpenBLAS runs each sgemm on as many as ``set_num_threads`` or
+``OPENBLAS_NUM_THREADS`` gives it, and no sgemm shape depends on that count,
+so results are bit-identical for any count on one numpy/OpenBLAS build.  The
+readout ``resize_argmax`` runs bands of output rows one after another; within
+a band it blends along x the input rows the band reads, then along y, then
+takes the channel argmax, the same float32 operations per pixel as
+``bilinear_resize`` followed by ``argmax_channels``.
 """
 
 from __future__ import annotations
@@ -256,12 +259,14 @@ _CHANNEL_CHUNK = 256
 _BAND_PIXELS = 8192
 
 
-def _accumulate_product(out: np.ndarray, w: np.ndarray, x: np.ndarray) -> None:
-    """out += w @ x for w (o, c) and x (c, m), with the c channels
-    contracted chunk by chunk in order; ``out`` holds o*m elements."""
-    for c in range(0, w.shape[1], _CHANNEL_CHUNK):
-        c1 = c + _CHANNEL_CHUNK
-        out += (w[:, c:c1] @ x[c:c1]).reshape(out.shape)
+def _inside(lo: int, hi: int, offset: int, stride: int, size: int) -> tuple:
+    """Of the output indices ``lo..hi-1``, those whose source index
+    ``index * stride + offset`` lies in ``[0, size)``: their slice relative
+    to ``lo`` and the slice of their source indices."""
+    a = max(lo, -(offset // stride))
+    b = max(a, min(hi, (size - 1 - offset) // stride + 1))
+    start = a * stride + offset
+    return slice(a - lo, b - lo), slice(start, start + (b - a) * stride, stride)
 
 
 def conv2d(
@@ -271,14 +276,20 @@ def conv2d(
     dilation: int = 1,
     pad_h: int = 0,
     pad_w: int = 0,
+    relu: bool = False,
 ) -> Tensor:
-    """Cross-correlate ``input`` with ``k`` (zero padding, no kernel flip).
+    """Cross-correlate ``input`` with ``k`` (zero padding, no kernel flip),
+    add the bias and, with ``relu``, clamp at zero.
 
     Output height is floor((h + 2*pad_h - (dilation*(kh-1)+1)) / stride) + 1
-    and analogously for width.  Each kernel tap's input slice is copied to
-    a contiguous (channels, pixels) matrix and contracted with the tap's
-    (out, in) weights by sgemm, taps in row-major order, so dilated kernels
-    are bit-identical to their zero-inserted dilation-1 expansion.
+    and analogously for width.  Each band of output rows is computed in
+    place, kernel taps in row-major order: a tap's (channels, pixels)
+    operand is a view of the input when it reads whole in-image rows, else
+    a band-sized copy of its in-image slice with zeros where it reads the
+    padding.  The first tap's sgemm writes the band, later ones are added,
+    then the bias and ReLU are applied to the band: the float32 operations
+    of summing the taps of a zero-padded input into a zeroed output.
+    Dilated kernels are bit-identical to their zero-inserted expansion.
     """
     if stride < 1 or dilation < 1:
         raise ValueError("stride and dilation must be >= 1")
@@ -298,31 +309,41 @@ def conv2d(
             f"{input.h}x{input.w}, kernel {k.kh}x{k.kw}, dilation {dilation}"
         )
 
-    x = input.data
-    if pad_h or pad_w:
-        x = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    x, c_in, c_out = input.data, k.in_channels, k.out_channels
     taps = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1))
-    out = np.zeros((input.n, k.out_channels, out_h, out_w), np.float32)
-
+    out = np.empty((input.n, c_out, out_h, out_w), np.float32)
     step = max(1, _BAND_PIXELS // out_w)
+    operand = np.empty(c_in * min(step, out_h) * out_w, np.float32)
+    product = np.empty(c_out * min(step, out_h) * out_w, np.float32)
     for n in range(input.n):
         for r0 in range(0, out_h, step):
             r1 = min(r0 + step, out_h)
+            m = (r1 - r0) * out_w
+            band = out[n, :, r0:r1].reshape(c_out, m)
+            prod = product[: c_out * m].reshape(c_out, m)
             for i in range(k.kh):
+                rows, src_rows = _inside(r0, r1, i * dilation - pad_h, stride, input.h)
                 for j in range(k.kw):
-                    y0 = r0 * stride + i * dilation
-                    x0 = j * dilation
-                    sl = x[
-                        n,
-                        :,
-                        y0 : y0 + (r1 - r0 - 1) * stride + 1 : stride,
-                        x0 : x0 + (out_w - 1) * stride + 1 : stride,
-                    ]
-                    _accumulate_product(
-                        out[n, :, r0:r1], taps[i, j], sl.reshape(k.in_channels, -1)
-                    )
-    if k.bias is not None:
-        out += k.bias[:, None, None]
+                    dx = j * dilation - pad_w
+                    cols, src_cols = _inside(0, out_w, dx, stride, input.w)
+                    if (stride, dx, out_w) == (1, 0, input.w) and rows == slice(0, r1 - r0):
+                        x_tap = x[n, :, src_rows].reshape(c_in, m)
+                    else:
+                        x_tap = operand[: c_in * m].reshape(c_in, m)
+                        tile = x_tap.reshape(c_in, r1 - r0, out_w)
+                        tile[:, : rows.start] = tile[:, rows.stop :] = 0
+                        tile[:, rows, : cols.start] = tile[:, rows, cols.stop :] = 0
+                        tile[:, rows, cols] = x[n, :, src_rows, src_cols]
+                    for c in range(0, c_in, _CHANNEL_CHUNK):
+                        w_tap = taps[i, j, :, c : c + _CHANNEL_CHUNK]
+                        if i == j == c == 0:
+                            np.matmul(w_tap, x_tap[c : c + _CHANNEL_CHUNK], out=band)
+                        else:
+                            band += np.matmul(w_tap, x_tap[c : c + _CHANNEL_CHUNK], out=prod)
+            if k.bias is not None:
+                band += k.bias[:, None]
+            if relu:
+                np.maximum(band, np.float32(0.0), out=band)
     return Tensor(out)
 
 
@@ -350,7 +371,9 @@ def transposed_conv2d(input: Tensor, k: Kernel, stride: int) -> Tensor:
                     i : i + (input.h - 1) * stride + 1 : stride,
                     j : j + (input.w - 1) * stride + 1 : stride,
                 ]
-                _accumulate_product(scatter, taps[i, j], sample)
+                for c in range(0, k.in_channels, _CHANNEL_CHUNK):
+                    c1 = c + _CHANNEL_CHUNK
+                    scatter += (taps[i, j, :, c:c1] @ sample[c:c1]).reshape(scatter.shape)
     if k.bias is not None:
         out += k.bias[:, None, None]
     return Tensor(out)

@@ -258,6 +258,20 @@ class TestExitCodes:
         assert "palette has 2 entries for 19 classes" in capsys.readouterr().err
         assert not seg.exists() and not color.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_bad_thread_count_is_usage_error(self, workdir, capsys, threads):
+        assert run("--threads", threads, "build", "--variant", "shallow",
+                   "--out", workdir / "net.nspec") == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (workdir / "net.nspec").exists()
+
+    def test_negative_bench_count_is_usage_error(self, workdir, capsys):
+        # every input path is absent: exit 2, not 3, shows none was opened
+        assert run("infer", "--net", workdir / "absent.nspec", "--weights",
+                   workdir / "absent.edaw", "--image", workdir / "absent.ppm",
+                   "--out", workdir / "seg.pgm", "--bench", "-3") == 2
+        assert "--bench: must be >= 0, got -3" in capsys.readouterr().err
+
     def test_palette_without_color_is_usage_error(self, workdir, capsys):
         # every input path is absent: exit 2, not 3, shows none was opened
         seg = workdir / "seg.pgm"

@@ -73,6 +73,58 @@ def conv2d_oracle(x, w, b, stride, dilation, pad_h, pad_w):
     return out
 
 
+def conv2d_padded_reference(x, k, stride, dilation, pad_h, pad_w):
+    """conv2d as a zero-padded copy of the input, a zero-filled output and
+    ``out += w @ x`` per tap, in conv2d's row bands, tap order and
+    256-channel chunks, each tap's slice copied to a contiguous matrix."""
+    n, c, h, w = x.shape
+    oc, _, kh, kw = k.weights.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    out_h = (h + 2 * pad_h - (dilation * (kh - 1) + 1)) // stride + 1
+    out_w = (w + 2 * pad_w - (dilation * (kw - 1) + 1)) // stride + 1
+    out = np.zeros((n, oc, out_h, out_w), np.float32)
+    step = max(1, tensorops._BAND_PIXELS // out_w)
+    for ni in range(n):
+        for r0 in range(0, out_h, step):
+            r1 = min(r0 + step, out_h)
+            for i in range(kh):
+                for j in range(kw):
+                    y0, x0 = r0 * stride + i * dilation, j * dilation
+                    sl = xp[ni, :, y0 : y0 + (r1 - r0 - 1) * stride + 1 : stride,
+                            x0 : x0 + (out_w - 1) * stride + 1 : stride]
+                    sl = np.ascontiguousarray(sl).reshape(c, -1)
+                    dst = out[ni, :, r0:r1]
+                    for c0 in range(0, c, 256):
+                        w_chunk = k.weights[:, c0 : c0 + 256, i, j]
+                        dst += (w_chunk @ sl[c0 : c0 + 256]).reshape(dst.shape)
+    if k.bias is not None:
+        out += k.bias[:, None, None]
+    return out
+
+
+def _padded_conv_cases():
+    """(n, c, h, w, kh, kw, stride, dilation, pad_h, pad_w): pads from 0 up
+    to the dilation, including dilation 16 on 8 rows, where whole taps lie
+    outside the image; stride 2 at odd and even sizes; 300 channels; and
+    outputs of several row bands with a partial last band."""
+    cases = []
+    for dilation, h, w in ((1, 11, 13), (2, 11, 13), (16, 8, 20)):
+        for pad in range(dilation + 1):
+            for kh, kw, pad_h, pad_w in ((3, 3, pad, pad), (3, 1, pad, 0), (1, 3, 0, pad)):
+                if (h + 2 * pad_h > dilation * (kh - 1)
+                        and w + 2 * pad_w > dilation * (kw - 1)):
+                    cases.append((1, 4, h, w, kh, kw, 1, dilation, pad_h, pad_w))
+    for h, w in ((9, 9), (10, 10), (9, 12), (12, 9)):
+        for pad in (0, 1):
+            cases.append((1, 5, h, w, 3, 3, 2, 1, pad, pad))
+    cases.append((1, 300, 12, 16, 3, 3, 1, 1, 1, 1))
+    cases.append((1, 300, 12, 16, 3, 3, 2, 2, 2, 2))
+    cases.append((2, 3, 181, 130, 3, 3, 1, 2, 2, 2))
+    cases.append((2, 3, 362, 130, 3, 3, 2, 1, 1, 1))
+    cases.append((1, 6, 150, 100, 3, 1, 1, 1, 1, 0))
+    return cases
+
+
 class TestTensorType:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
@@ -144,6 +196,20 @@ class TestConv2d:
                 want += np.einsum("oi,nihw->nohw", k.weights[:, :, i, j].astype(np.float64), sl)
         assert oh * ow > 8192
         assert np.abs(got - want).max() < 1e-5
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("n,c,h,w,kh,kw,stride,dilation,pad_h,pad_w", _padded_conv_cases())
+    def test_matches_padded_reference_bit_for_bit(self, n, c, h, w, kh, kw, stride,
+                                                  dilation, pad_h, pad_w, bias):
+        rng = np.random.default_rng(c * h + w + kh + stride + dilation + pad_h + pad_w)
+        x = rand_tensor(rng, n, c, h, w)
+        k = rand_kernel(rng, 5, c, kh, kw, bias=bias)
+        want = conv2d_padded_reference(x.data, k, stride, dilation, pad_h, pad_w)
+        got = conv2d(x, k, stride, dilation, pad_h, pad_w)
+        assert got.shape == want.shape
+        assert np.array_equal(got.data.view(np.uint32), want.view(np.uint32))
+        fused = conv2d(x, k, stride, dilation, pad_h, pad_w, relu=True)
+        assert np.array_equal(fused.data.view(np.uint32), relu(got).data.view(np.uint32))
 
     def test_channel_mismatch_raises(self):
         x = Tensor.zeros(1, 3, 4, 4)
