@@ -172,4 +172,4 @@ def colorize(labels: LabelMap, palette: Palette) -> bytes:
             f"labels reach {int(labels.max())} but the palette has "
             f"{len(palette)} entries"
         )
-    return _encode(b"P6", palette[labels])
+    return _encode(b"P6", np.take(palette, labels, axis=0))

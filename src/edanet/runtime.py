@@ -184,17 +184,19 @@ def _draw_uniform(tensor_name: str, seed: int, shape: tuple, bound: float) -> np
 
 
 def _param_table(net: NetworkSpec):
-    """(name, shape) of every weight the network reads, in store order."""
+    """``(step, ((name, shape), ...))`` of each step that reads weights, in
+    store order."""
     for layer in net.layers:
-        for prim in iter_prims(expand_layer(layer)):
-            for suffix, shape in param_shapes(prim):
-                yield f"{prim.name}.{suffix}", shape
+        for prim in iter_prims(_lowered(layer)):
+            rows = tuple((f"{prim.name}.{suffix}", shape) for suffix, shape in param_shapes(prim))
+            if rows:
+                yield prim, rows
 
 
 def parameter_names(net: NetworkSpec) -> list:
     """Every weight name the network consumes, in execution order; each
     appears exactly once."""
-    return [name for name, _ in _param_table(net)]
+    return [name for _, rows in _param_table(net) for name, _ in rows]
 
 
 def init_weights(net: NetworkSpec, seed: int) -> WeightStore:
@@ -205,7 +207,7 @@ def init_weights(net: NetworkSpec, seed: int) -> WeightStore:
     the identity transform (gamma 1, beta 0, mean 0, var 1)."""
     store = WeightStore()
     seed &= _MASK64
-    for name, shape in _param_table(net):
+    for name, shape in (row for _, rows in _param_table(net) for row in rows):
         if name.endswith(".w"):
             bound = math.sqrt(6.0 / math.prod(shape[1:]))
             store[name] = _draw_uniform(name, seed, shape, bound)
@@ -223,25 +225,19 @@ def fold_batch_norm(net: NetworkSpec, weights: WeightStore) -> FoldedNetwork:
     s = gamma / sqrt(var + eps), the convolution's weights become s*w and
     its bias s*(old_bias - mean) + beta.  The returned network contains no
     BN steps and computes the same function up to float32 rounding."""
-    tensors: dict = {}  # checked as forward checks them, before any merge
-    used: list = []
-    for layer in net.layers:
-        for prim in iter_prims(expand_layer(layer)):
-            tensors[prim] = _fetch(weights, prim, used)
-            if isinstance(prim, BnStep):
-                BnParams(*tensors[prim], eps=BN_EPS)  # rejects a negative variance
-    _check_consumed(weights, used)
+    bound = _bind(net, weights)
     merged: dict = {}
 
     def merge(step, conv, bn, lo, hi):
-        gamma, beta, mean, var = (t[lo:hi] for t in tensors[bn])
-        s = gamma / np.sqrt(var + np.float32(BN_EPS))
+        p = bound[bn.name]
+        beta, mean = p.beta[lo:hi], p.running_mean[lo:hi]
+        s = p.gamma[lo:hi] / np.sqrt(p.running_var[lo:hi] + np.float32(BN_EPS))
         if conv is None:  # scale, shift
             values = (s, beta - s * mean)
         else:  # w, b
-            w, *b = tensors[conv]
-            old_b = b[0] if b else np.zeros(conv.out_ch, np.float32)
-            values = (w * s[:, None, None, None], s * (old_b - mean) + beta)
+            k = bound[conv.name]
+            old_b = np.zeros(conv.out_ch, np.float32) if k.bias is None else k.bias
+            values = (k.weights * s[:, None, None, None], s * (old_b - mean) + beta)
         for (suffix, _), value in zip(param_shapes(step), values):
             merged[f"{step.name}.{suffix}"] = value
 
@@ -257,65 +253,67 @@ def fold_batch_norm(net: NetworkSpec, weights: WeightStore) -> FoldedNetwork:
 # ---------------------------------------------------------------------------
 # executor
 
-def _fetch(store: WeightStore, prim, used: list) -> list:
-    """The step's weight tensors in ``param_shapes`` order, shape-checked."""
-    arrays = []
-    for suffix, shape in param_shapes(prim):
-        name = f"{prim.name}.{suffix}"
-        arr = store[name]
-        if arr.shape != shape:
-            raise ShapeError(
-                f"weight {name!r} has shape {arr.shape}, expected {shape}"
-            )
-        used.append(name)
-        arrays.append(arr)
-    return arrays
-
-
-def _check_consumed(store: WeightStore, used: list) -> None:
-    """Every stored tensor must be among the ``used`` names."""
-    used_set = set(used)
-    dangling = [n for n in store.names() if n not in used_set]
+def _bind(net: NetworkSpec, store: WeightStore) -> dict:
+    """Check every weight in one walk and build each step's operand once:
+    ``{step name: Kernel | BnParams | (scale, shift)}``.  A missing, mis-shaped
+    or dangling tensor, or a negative BN variance, is an error naming it."""
+    bound, used = {}, set()
+    for step, rows in _param_table(net):
+        arrays = []
+        for name, shape in rows:
+            arr = store[name]
+            if arr.shape != shape:
+                raise ShapeError(f"weight {name!r} has shape {arr.shape}, expected {shape}")
+            used.add(name)
+            arrays.append(arr)
+        if isinstance(step, BnStep):  # rejects a negative variance
+            bound[step.name] = BnParams(*arrays, eps=BN_EPS)
+        elif isinstance(step, AffineStep):
+            bound[step.name] = tuple(arrays)
+        else:
+            bound[step.name] = Kernel(*arrays)
+    dangling = [n for n in store.names() if n not in used]
     if dangling:
         raise WeightError(
             f"weights never consumed by the forward pass: {dangling[:3]}"
             + ("..." if len(dangling) > 3 else "")
         )
+    return bound
 
 
-def _eval(node, x: Tensor, store: WeightStore, used: list, fuse_relu: bool = False) -> Tensor:
-    """Run ``node`` on ``x``; in a chain, a convolution directly followed
-    by a ReLU runs as one ``conv2d(..., relu=True)``."""
+def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False) -> Tensor:
+    """Run ``node`` on ``x`` with ``_bind``'s operands; in a chain, a convolution
+    directly followed by a ReLU runs as one ``conv2d(..., relu=True)``."""
     if isinstance(node, Chain):
         fused = False
         for step, after in zip(node.steps, node.steps[1:] + (None,)):
             if not fused:
                 fused = isinstance(step, ConvStep) and isinstance(after, ReluStep)
-                x = _eval(step, x, store, used, fused)
+                x = _eval(step, x, bound, fused)
             else:  # the ReLU ran inside the convolution before it
                 fused = False
         return x
     if isinstance(node, Parallel):
         out = None
         for branch in node.branches:
-            y = _eval(branch, x, store, used)
+            y = _eval(branch, x, bound)
             out = y if out is None else concat_channels(out, y)
         return out
     if isinstance(node, Residual):
-        return add(x, _eval(node.body, x, store, used))
+        return add(x, _eval(node.body, x, bound))
     if isinstance(node, ImagePool):
-        y = _eval(node.body, global_avg_pool(x), store, used)
+        y = _eval(node.body, global_avg_pool(x), bound)
         return bilinear_resize(y, x.h, x.w)
     if isinstance(node, ConvStep):
-        return conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride,
+        return conv2d(x, bound[node.name], stride=node.stride,
                       dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w,
                       relu=fuse_relu)
     if isinstance(node, DeconvStep):
-        return transposed_conv2d(x, Kernel(*_fetch(store, node, used)), stride=node.stride)
+        return transposed_conv2d(x, bound[node.name], stride=node.stride)
     if isinstance(node, BnStep):
-        return batch_norm(x, BnParams(*_fetch(store, node, used), eps=BN_EPS))
+        return batch_norm(x, bound[node.name])
     if isinstance(node, AffineStep):
-        return channel_affine(x, *_fetch(store, node, used))
+        return channel_affine(x, *bound[node.name])
     if isinstance(node, ReluStep):
         return relu(x)
     if isinstance(node, DropoutStep):
@@ -330,21 +328,21 @@ def _eval(node, x: Tensor, store: WeightStore, used: list, fuse_relu: bool = Fal
 
 
 def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
-    """Execute the network on one tensor.  The analyzer's pass checks every
-    shape before any layer runs.  Every stored parameter must be consumed
-    exactly once; a missing, dangling or mis-shaped weight is an error
-    naming the offender.  A run of dense layers (a ``Parallel`` whose first
-    branch is the identity) grows in one buffer at the run's final width:
-    each layer writes its new channels after the filled prefix it reads."""
+    """Execute the network on one tensor.  Before any layer runs, the
+    analyzer's pass checks every shape and ``_bind`` every weight (each
+    stored tensor must be consumed).  A run of dense layers (a ``Parallel``
+    whose first branch is the identity) grows in one buffer at the run's
+    final width: each layer writes its new channels after the filled
+    prefix it reads."""
     report = analyze(net, input.shape[1:])
+    bound = _bind(net, weights)
     dense = [isinstance(node, Parallel) and node.branches[0] == Chain([])
              for node in map(_lowered, net.layers)]
-    used: list = []
     x, stage = input, None
     for k, layer in enumerate(net.layers):
         node = expand_layer(layer)
         if not dense[k]:
-            x, stage = _eval(node, x, weights, used), None
+            x, stage = _eval(node, x, bound), None
             continue
         if stage is None:
             end = next((e for e in range(k, len(dense)) if not dense[e]), len(dense))
@@ -352,11 +350,10 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
             stage[:, : x.c] = x.data
         c = x.c
         for branch in node.branches[1:]:
-            y = _eval(branch, x, weights, used)
+            y = _eval(branch, x, bound)
             stage[:, c : c + y.c] = y.data
             c += y.c
         x = Tensor(stage[:, :c])
-    _check_consumed(weights, used)
     return x
 
 

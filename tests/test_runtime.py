@@ -239,6 +239,25 @@ class TestForward:
             forward(net, store, rand_input(shape=(1, 4, 16, 32)))
         assert calls == []
 
+    @pytest.mark.parametrize("name, value, error, match", [
+        ("proj.conv1x1.w", None, WeightError, "missing weight 'proj.conv1x1.w'"),
+        ("proj.conv1x1.w", np.zeros((19, 290, 3, 3)), ShapeError, "proj.conv1x1.w"),
+        ("m2_4.bn5.var", np.full(40, -1.0), ValueError, "running_var"),
+    ], ids=["missing", "misshaped", "negative_var"])
+    def test_weight_fault_fails_before_any_layer_runs(self, monkeypatch, name,
+                                                      value, error, match):
+        """Faults in the last layers are found before the first conv."""
+        net = build_variant("shallow", classes=19)
+        store = init_weights(net, seed=7)
+        if value is None:
+            store = WeightStore({n: a for n, a in store.items() if n != name})
+        else:
+            store[name] = value
+        calls = count_calls(monkeypatch, runtime, "conv2d")
+        with pytest.raises(error, match=match):
+            forward(net, store, rand_input())
+        assert calls == []
+
     def test_expands_each_layer_once_in_layer_order(self, monkeypatch):
         """Per-layer timing from outside the package marks each layer by
         the forward pass's call to edanet.runtime.expand_layer."""
@@ -281,9 +300,9 @@ class TestForward:
 def concat_composition(net, store, x):
     """The forward pass as ``_eval`` of each layer in turn, every dense
     layer concatenating its input with its new channels."""
-    used = []
+    bound = runtime._bind(net, store)
     for layer in net.layers:
-        x = runtime._eval(netdef.expand_layer(layer), x, store, used)
+        x = runtime._eval(netdef.expand_layer(layer), x, bound)
     return x
 
 
@@ -430,9 +449,10 @@ class TestFoldBatchNorm:
 
     @pytest.mark.parametrize("name, value, error, match", [
         ("orphan.w", np.zeros(3), WeightError, "never consumed"),
+        ("m1_1.conv1x1.x", np.zeros(3), WeightError, "never consumed"),
         ("m1_1.bn1.var", np.full(40, -1.0), ValueError, "running_var"),
         ("m1_1.conv1x1.w", np.zeros((40, 60, 3, 3)), ShapeError, "m1_1.conv1x1.w"),
-    ], ids=["dangling", "negative_var", "misshaped"])
+    ], ids=["dangling", "unknown_suffix", "negative_var", "misshaped"])
     def test_rejects_weights_forward_rejects(self, name, value, error, match):
         net = build_variant("shallow", classes=19)
         store = init_weights(net, seed=7)
