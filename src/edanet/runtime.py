@@ -9,6 +9,7 @@ u32, reserved u32) followed by one record per tensor.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -183,20 +184,19 @@ def _draw_uniform(tensor_name: str, seed: int, shape: tuple, bound: float) -> np
     return vals.astype(np.float32).reshape(shape)
 
 
-def _param_table(net: NetworkSpec):
-    """``(step, ((name, shape), ...))`` of each step that reads weights, in
-    store order."""
-    for layer in net.layers:
-        for prim in iter_prims(_lowered(layer)):
-            rows = tuple((f"{prim.name}.{suffix}", shape) for suffix, shape in param_shapes(prim))
-            if rows:
-                yield prim, rows
+@functools.lru_cache(maxsize=256)
+def _param_table(net: NetworkSpec) -> tuple:
+    """``(step, name, shape)`` of every weight the network reads, in store
+    order; computed once per network."""
+    return tuple((prim, f"{prim.name}.{suffix}", shape)
+                 for layer in net.layers for prim in iter_prims(_lowered(layer))
+                 for suffix, shape in param_shapes(prim))
 
 
 def parameter_names(net: NetworkSpec) -> list:
     """Every weight name the network consumes, in execution order; each
     appears exactly once."""
-    return [name for _, rows in _param_table(net) for name, _ in rows]
+    return [name for _, name, _ in _param_table(net)]
 
 
 def init_weights(net: NetworkSpec, seed: int) -> WeightStore:
@@ -207,7 +207,7 @@ def init_weights(net: NetworkSpec, seed: int) -> WeightStore:
     the identity transform (gamma 1, beta 0, mean 0, var 1)."""
     store = WeightStore()
     seed &= _MASK64
-    for name, shape in (row for _, rows in _param_table(net) for row in rows):
+    for _, name, shape in _param_table(net):
         if name.endswith(".w"):
             bound = math.sqrt(6.0 / math.prod(shape[1:]))
             store[name] = _draw_uniform(name, seed, shape, bound)
@@ -229,15 +229,14 @@ def fold_batch_norm(net: NetworkSpec, weights: WeightStore) -> FoldedNetwork:
     merged: dict = {}
 
     def merge(step, conv, bn, lo, hi):
-        p = bound[bn.name]
-        beta, mean = p.beta[lo:hi], p.running_mean[lo:hi]
-        s = p.gamma[lo:hi] / np.sqrt(p.running_var[lo:hi] + np.float32(BN_EPS))
+        gamma, beta, mean, var = (t[lo:hi] for t in bound[bn.name])
+        s = gamma / np.sqrt(var + np.float32(BN_EPS))
         if conv is None:  # scale, shift
             values = (s, beta - s * mean)
         else:  # w, b
-            k = bound[conv.name]
-            old_b = np.zeros(conv.out_ch, np.float32) if k.bias is None else k.bias
-            values = (k.weights * s[:, None, None, None], s * (old_b - mean) + beta)
+            w, *b = bound[conv.name]
+            old_b = b[0] if b else np.zeros(conv.out_ch, np.float32)
+            values = (w * s[:, None, None, None], s * (old_b - mean) + beta)
         for (suffix, _), value in zip(param_shapes(step), values):
             merged[f"{step.name}.{suffix}"] = value
 
@@ -254,26 +253,24 @@ def fold_batch_norm(net: NetworkSpec, weights: WeightStore) -> FoldedNetwork:
 # executor
 
 def _bind(net: NetworkSpec, store: WeightStore) -> dict:
-    """Check every weight in one walk and build each step's operand once:
-    ``{step name: Kernel | BnParams | (scale, shift)}``.  A missing, mis-shaped
-    or dangling tensor, or a negative BN variance, is an error naming it."""
-    bound, used = {}, set()
-    for step, rows in _param_table(net):
-        arrays = []
-        for name, shape in rows:
-            arr = store[name]
-            if arr.shape != shape:
-                raise ShapeError(f"weight {name!r} has shape {arr.shape}, expected {shape}")
-            used.add(name)
-            arrays.append(arr)
-        if isinstance(step, BnStep):  # rejects a negative variance
-            bound[step.name] = BnParams(*arrays, eps=BN_EPS)
-        elif isinstance(step, AffineStep):
-            bound[step.name] = tuple(arrays)
-        else:
-            bound[step.name] = Kernel(*arrays)
-    dangling = [n for n in store.names() if n not in used]
-    if dangling:
+    """Check every weight in one walk and group them by step: ``{step name:
+    [tensor, ...]}`` in ``param_shapes`` order.  A missing, mis-shaped or
+    dangling tensor is an error naming it; a negative BN variance is the
+    error ``BnParams`` raises."""
+    bound, variances = {}, []
+    table = _param_table(net)
+    for step, name, shape in table:
+        arr = store[name]
+        if arr.shape != shape:
+            raise ShapeError(f"weight {name!r} has shape {arr.shape}, expected {shape}")
+        bound.setdefault(step.name, []).append(arr)
+        if name.endswith(".var"):
+            variances.append(arr)
+    if variances and np.count_nonzero(np.concatenate(variances) < 0):
+        raise ValueError("running_var entries must be >= 0")
+    used = {name for _, name, _ in table}
+    if len(used) != len(store):  # every used name is in the store
+        dangling = [n for n in store.names() if n not in used]
         raise WeightError(
             f"weights never consumed by the forward pass: {dangling[:3]}"
             + ("..." if len(dangling) > 3 else "")
@@ -282,8 +279,9 @@ def _bind(net: NetworkSpec, store: WeightStore) -> dict:
 
 
 def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False) -> Tensor:
-    """Run ``node`` on ``x`` with ``_bind``'s operands; in a chain, a convolution
-    directly followed by a ReLU runs as one ``conv2d(..., relu=True)``."""
+    """Run ``node`` on ``x`` with the tensors ``_bind`` checked; in a chain, a
+    convolution directly followed by a ReLU runs as one
+    ``conv2d(..., relu=True)``."""
     if isinstance(node, Chain):
         fused = False
         for step, after in zip(node.steps, node.steps[1:] + (None,)):
@@ -305,13 +303,13 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False) -> Tensor:
         y = _eval(node.body, global_avg_pool(x), bound)
         return bilinear_resize(y, x.h, x.w)
     if isinstance(node, ConvStep):
-        return conv2d(x, bound[node.name], stride=node.stride,
+        return conv2d(x, Kernel(*bound[node.name]), stride=node.stride,
                       dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w,
                       relu=fuse_relu)
     if isinstance(node, DeconvStep):
-        return transposed_conv2d(x, bound[node.name], stride=node.stride)
+        return transposed_conv2d(x, Kernel(*bound[node.name]), stride=node.stride)
     if isinstance(node, BnStep):
-        return batch_norm(x, bound[node.name])
+        return batch_norm(x, BnParams(*bound[node.name], eps=BN_EPS))
     if isinstance(node, AffineStep):
         return channel_affine(x, *bound[node.name])
     if isinstance(node, ReluStep):
@@ -329,8 +327,8 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False) -> Tensor:
 
 def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     """Execute the network on one tensor.  Before any layer runs, the
-    analyzer's pass checks every shape and ``_bind`` every weight (each
-    stored tensor must be consumed).  A run of dense layers (a ``Parallel``
+    analyzer's pass checks every shape and ``_bind`` checks every weight
+    (each stored tensor must be consumed).  A run of dense layers (a ``Parallel``
     whose first branch is the identity) grows in one buffer at the run's
     final width: each layer writes its new channels after the filled
     prefix it reads."""

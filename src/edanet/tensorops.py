@@ -190,7 +190,7 @@ class BnParams:
             raise ShapeError(f"BnParams vectors disagree in length: {lengths}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if (vecs["running_var"] < 0).any():
+        if np.any(vecs["running_var"] < 0):
             raise ValueError("running_var entries must be >= 0")
 
     @property
