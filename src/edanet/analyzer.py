@@ -140,25 +140,13 @@ def _walk(node, shape, rf: _RfState, acc: _Acc):
         results = []
         for branch in node.branches:
             results.append(_walk(branch, shape, rf.copy(), acc))
-        hw = {(s[1], s[2]) for s, _ in results}
-        if len(hw) != 1:
-            raise ShapeError(f"parallel branches disagree on spatial dims: {hw}")
-        jumps = {(r.jump_h, r.jump_w) for _, r in results}
-        if len(jumps) != 1:
-            raise ShapeError("parallel branches disagree on cumulative stride")
         out_c = sum(s[0] for s, _ in results)
-        merged = results[0][1].copy()
+        (_, out_h, out_w), merged = results[0]
         merged.rf_h = max(r.rf_h for _, r in results)
         merged.rf_w = max(r.rf_w for _, r in results)
-        out_h, out_w = next(iter(hw))
         return (out_c, out_h, out_w), merged
     if isinstance(node, Residual):
-        out, body_rf = _walk(node.body, shape, rf.copy(), acc)
-        if out != shape:
-            raise ShapeError(
-                f"residual body changed shape {shape} -> {out}"
-            )
-        merged = body_rf
+        _, merged = _walk(node.body, shape, rf.copy(), acc)
         merged.rf_h = max(merged.rf_h, rf.rf_h)
         merged.rf_w = max(merged.rf_w, rf.rf_w)
         return shape, merged
@@ -169,11 +157,9 @@ def _walk(node, shape, rf: _RfState, acc: _Acc):
         return (c, h, w), rf
 
     acc.params += _learned_params(node)
+    if isinstance(node, (ConvStep, DeconvStep)) and c != node.in_ch:
+        raise ShapeError(f"{node.name}: expects {node.in_ch} input channels, got {c}")
     if isinstance(node, ConvStep):
-        if c != node.in_ch:
-            raise ShapeError(
-                f"{node.name}: expects {node.in_ch} input channels, got {c}"
-            )
         _check_stride(h, w, node.stride, node.name)
         ekh = effective_kernel(node.kh, node.dilation)
         ekw = effective_kernel(node.kw, node.dilation)
@@ -185,20 +171,12 @@ def _walk(node, shape, rf: _RfState, acc: _Acc):
         rf.grow(ekh, ekw, Fraction(node.stride), Fraction(node.stride))
         return (node.out_ch, oh, ow), rf
     if isinstance(node, DeconvStep):
-        if c != node.in_ch:
-            raise ShapeError(
-                f"{node.name}: expects {node.in_ch} input channels, got {c}"
-            )
         oh = (h - 1) * node.stride + node.k
         ow = (w - 1) * node.stride + node.k
         acc.macs += node.k * node.k * node.in_ch * node.out_ch * h * w
         rf.grow(node.k, node.k, Fraction(1, node.stride), Fraction(1, node.stride))
         return (node.out_ch, oh, ow), rf
     if isinstance(node, (BnStep, AffineStep)):
-        if c != node.channels:
-            raise ShapeError(
-                f"{node.name}: expects {node.channels} channels, got {c}"
-            )
         acc.macs += node.channels * h * w
         return shape, rf
     if isinstance(node, (ReluStep, DropoutStep)):

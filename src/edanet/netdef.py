@@ -38,17 +38,6 @@ __all__ = [
     "layer_out_channels",
 ]
 
-VARIANTS = (
-    "edanet",
-    "non_asym",
-    "non_dense",
-    "shallow",
-    "aspp",
-    "erfdec",
-    "densedown",
-)
-
-
 class NetspecError(ValueError):
     """Malformed network description; carries a 1-based line/column."""
 
@@ -102,9 +91,9 @@ class LayerSpec:
             value = getattr(self, attr)
             if value is None:
                 if default is _REQUIRED:
-                    raise NetspecError(f"{what} missing {key!r}")
+                    raise NetspecError(f"{what} missing required key {key!r}")
                 object.__setattr__(self, attr, default)
-            elif codec is not None and _decode(codec, f"{what}: {key}", codec[2](value)) != value:
+            elif _decode(codec, f"{what}: {key}", codec[2](value)) != value:
                 raise NetspecError(f"{what}: {key} expects {codec[0]}, got {value!r}")
 
 
@@ -265,49 +254,51 @@ def _layer_in_channels(layer: LayerSpec) -> Optional[int]:
     return layer.in_ch
 
 
-def _validate_layers(layers, classes: int, lines: Optional[dict] = None) -> None:
+def _validate_layers(layers, classes: int) -> None:
     """Check names, the channel chain and projection placement, and lower
-    every layer, so a block's own rules fail here, not in a later pass."""
-    def err(msg, layer_name):
-        line = (lines or {}).get(layer_name, 0)
-        raise NetspecError(msg, line=line, col=1 if line else 0)
+    every layer, so a block's own rules fail here, not in a later pass.
+    Each error carries its layer's index as ``_layer``, so a parse can
+    report the layer's line."""
+    def err(msg, index):
+        exc = NetspecError(msg)
+        exc._layer = index
+        raise exc
 
     seen = set()
-    for layer in layers:
+    for i, layer in enumerate(layers):
         if layer.name in seen:
-            err(f"duplicate layer name {layer.name!r}", layer.name)
+            err(f"duplicate layer name {layer.name!r}", i)
         seen.add(layer.name)
     current: Optional[int] = None
-    for layer in layers:
+    for i, layer in enumerate(layers):
         try:
             _lowered(layer)
         except ValueError as exc:
-            err(f"layer {layer.name!r}: {exc}", layer.name)
+            err(f"layer {layer.name!r}: {exc}", i)
         if layer.kind == "projection" and layer.classes != classes:
             err(
                 f"projection {layer.name!r} has {layer.classes} classes "
                 f"but the network has {classes}",
-                layer.name,
+                i,
             )
         declared = _layer_in_channels(layer)
         if declared is not None and current is not None and declared != current:
             err(
                 f"layer {layer.name!r} expects {declared} input channels "
                 f"but receives {current}",
-                layer.name,
+                i,
             )
         current = layer_out_channels(layer, current if declared is None else declared)
-    projections = [l for l in layers if l.kind == "projection"]
+    projections = [i for i, l in enumerate(layers) if l.kind == "projection"]
     if len(projections) > 1:
-        err("more than one projection layer", projections[1].name)
+        err("more than one projection layer", projections[1])
     if projections:
-        idx = list(layers).index(projections[0])
-        for later in list(layers)[idx + 1 :]:
-            if later.kind != "bilinear":
+        for i in range(projections[0] + 1, len(layers)):
+            if layers[i].kind != "bilinear":
                 err(
-                    f"layer {later.name!r} of kind {later.kind!r} appears "
+                    f"layer {layers[i].name!r} of kind {layers[i].kind!r} appears "
                     "after the projection layer",
-                    later.name,
+                    i,
                 )
 
 
@@ -324,19 +315,20 @@ def _validate_network(net: NetworkSpec) -> None:
 # ---------------------------------------------------------------------------
 # variant builders
 
-def _dense_trunk(kind: str, n_block2: int) -> list:
-    """Shared trunk: two widening downsamplers, five dense modules, one
-    narrowing downsampler, then n_block2 dense modules at growth 40."""
+def _dense_trunk(kind: str, n_block2: int, stem=None, narrow=None) -> list:
+    """Shared trunk: a stem to 60 channels (default: two widening
+    downsamplers), five dense modules, a narrowing stage to 130 channels
+    (default: one downsampler), then n_block2 dense modules at growth 40."""
     g = blocks.GROWTH_RATE
-    layers = [
+    layers = list(stem or [
         LayerSpec("downsample", "ds1", in_ch=3, out_ch=15),
         LayerSpec("downsample", "ds2", in_ch=15, out_ch=60),
-    ]
+    ])
     ch = 60
     for i, dil in enumerate((1, 1, 1, 2, 2), start=1):
         layers.append(LayerSpec(kind, f"m1_{i}", in_ch=ch, growth=g, dilation=dil))
         ch += g
-    layers.append(LayerSpec("downsample", "ds3", in_ch=ch, out_ch=130))
+    layers += narrow or [LayerSpec("downsample", "ds3", in_ch=ch, out_ch=130)]
     ch = 130
     for i, dil in enumerate((2, 2, 4, 4, 8, 8, 16, 16)[:n_block2], start=1):
         layers.append(LayerSpec(kind, f"m2_{i}", in_ch=ch, growth=g, dilation=dil))
@@ -400,26 +392,17 @@ def _build_erfdec(classes: int) -> list:
 
 
 def _build_densedown(classes: int) -> list:
-    g = blocks.GROWTH_RATE
-    layers = [
+    stem = [
         LayerSpec("conv", "stem", in_ch=3, out_ch=60, kh=7, kw=7, stride=2,
                   dilation=1, pad_h=3, pad_w=3, bn=True, act=True),
         LayerSpec("maxpool", "pool0", k=3, stride=2, pad=1),
     ]
-    ch = 60
-    for i, dil in enumerate((1, 1, 1, 2, 2), start=1):
-        layers.append(LayerSpec("eda", f"m1_{i}", in_ch=ch, growth=g, dilation=dil))
-        ch += g
-    layers += [
-        LayerSpec("conv", "trans1", in_ch=ch, out_ch=130, kh=1, kw=1, stride=1,
+    narrow = [
+        LayerSpec("conv", "trans1", in_ch=260, out_ch=130, kh=1, kw=1, stride=1,
                   dilation=1, pad_h=0, pad_w=0, bn=True, act=True),
         LayerSpec("avgpool", "pool1", k=2, stride=2),
     ]
-    ch = 130
-    for i, dil in enumerate((2, 2, 4, 4, 8, 8, 16, 16), start=1):
-        layers.append(LayerSpec("eda", f"m2_{i}", in_ch=ch, growth=g, dilation=dil))
-        ch += g
-    return layers + _tail(450, classes)
+    return _dense_trunk("eda", 8, stem, narrow) + _tail(450, classes)
 
 
 _BUILDERS: dict[str, Callable[[int], list]] = {
@@ -431,6 +414,8 @@ _BUILDERS: dict[str, Callable[[int], list]] = {
     "erfdec": _build_erfdec,
     "densedown": _build_densedown,
 }
+
+VARIANTS = tuple(_BUILDERS)
 
 
 def build_variant(
@@ -468,9 +453,8 @@ def serialize_netspec(net: NetworkSpec) -> str:
     ]
     for layer in net.layers:
         parts = [layer.kind]
-        for key, attr, codec, default in _KIND_KEYS[layer.kind]:
-            value = getattr(layer, attr)
-            parts.append(f"{key}={value if codec is None else codec[2](value)}")
+        for key, attr, codec, _ in _KIND_KEYS[layer.kind]:
+            parts.append(f"{key}={codec[2](getattr(layer, attr))}")
         if layer.kind in _FOLDABLE and layer.folded:
             parts.append("folded=1")
         lines.append(" ".join(parts))
@@ -491,7 +475,7 @@ def parse_netspec(text: str) -> NetworkSpec:
     line and column on malformed input."""
     header = None
     layers: list[LayerSpec] = []
-    layer_lines: dict[str, int] = {}
+    layer_lines: list[int] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         # (token, 1-based column) pairs of the line, comment dropped
@@ -513,25 +497,25 @@ def parse_netspec(text: str) -> NetworkSpec:
         if kind not in _KIND_KEYS:
             raise NetspecError(f"unknown layer kind {kind!r}", line_no, kind_col)
         fields = _parse_layer_fields(kind, tokens[1:], line_no)
-        layer = LayerSpec(kind=kind, **fields)
-        if layer.name in layer_lines:
-            raise NetspecError(
-                f"duplicate layer name {layer.name!r}", line_no, kind_col
-            )
-        layer_lines[layer.name] = line_no
-        layers.append(layer)
+        try:
+            layers.append(LayerSpec(kind, fields.pop("name", None), **fields))
+        except NetspecError as exc:  # a missing required key
+            raise NetspecError(str(exc), line_no, 1) from None
+        layer_lines.append(line_no)
 
     if header is None:
         raise NetspecError("empty network description: missing header line")
     name, classes, upscale, train_size = header
-    _validate_layers(layers, classes, layer_lines)
-    return NetworkSpec(
-        name=name,
-        classes=classes,
-        layers=layers,
-        train_size=train_size,
-        inference_upscale=upscale,
-    )
+    try:
+        return NetworkSpec(
+            name=name,
+            classes=classes,
+            layers=layers,
+            train_size=train_size,
+            inference_upscale=upscale,
+        )
+    except NetspecError as exc:  # a layer's: the header parse checked the rest
+        raise NetspecError(str(exc), layer_lines[exc._layer], 1) from None
 
 
 def _parse_header(tokens, line_no: int):
@@ -570,28 +554,19 @@ def _parse_size(value: str, line_no: int, col: int) -> tuple:
 
 
 def _parse_layer_fields(kind: str, tokens, line_no: int) -> dict:
-    keys = _KIND_KEYS[kind]
-    by_key = {key: (attr, codec, default) for key, attr, codec, default in keys}
+    """The decoded fields a layer line gives; ``LayerSpec`` fills the rest."""
+    by_key = {key: (attr, codec) for key, attr, codec, _ in _KIND_KEYS[kind]}
+    if kind in _FOLDABLE:
+        by_key["folded"] = ("folded", _BOOL)
     fields: dict = {}
-    seen = set()
     for token, col in tokens:
         key, value = _parse_kv(token, line_no, col)
-        if key == "folded" and kind in _FOLDABLE:
-            attr, codec, default = "folded", _BOOL, False
-        elif key in by_key:
-            attr, codec, default = by_key[key]
-        else:
+        if key not in by_key:
             raise NetspecError(f"unknown key {key!r} for kind {kind!r}", line_no, col)
-        if key in seen:
-            raise NetspecError(f"duplicate key {key!r}", line_no, col)
-        seen.add(key)
-        fields[attr] = value if codec is None else _decode(codec, key, value, line_no, col)
-    for key, attr, codec, default in keys:
+        attr, codec = by_key[key]
         if attr in fields:
-            continue
-        if default is _REQUIRED:
-            raise NetspecError(f"{kind} line missing required key {key!r}", line_no, 1)
-        fields[attr] = default
+            raise NetspecError(f"duplicate key {key!r}", line_no, col)
+        fields[attr] = _decode(codec, key, value, line_no, col)
     return fields
 
 

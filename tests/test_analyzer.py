@@ -85,6 +85,11 @@ class TestTraceShapes:
         with pytest.raises(ShapeError):
             trace_shapes(build_variant("edanet", classes=19), (4, 512, 1024))
 
+    def test_non_positive_extent_rejected(self):
+        net = NetworkSpec("tiny", 2, [LayerSpec("conv", "c", in_ch=3, out_ch=2, kh=3, kw=3)])
+        with pytest.raises(ShapeError, match="layer 'c': c.conv: non-positive output extent"):
+            analyze(net, (3, 1, 1))
+
 
 class TestCountParams:
     def test_single_biased_conv(self):

@@ -265,6 +265,16 @@ class TestExitCodes:
         assert "--threads" in capsys.readouterr().err
         assert not (workdir / "net.nspec").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("analyze", "--input-size", "8"), "expected HxW, got '8'"),
+        (("analyze", "--input-size", "8xA"), "expected HxW integers, got '8xA'"),
+        (("init", "--seed", "x", "--out", "w.edaw"), "expected an integer seed, got 'x'"),
+    ], ids=["size_one_number", "size_not_integer", "seed_not_integer"])
+    def test_malformed_size_or_seed_is_usage_error(self, workdir, capsys, argv, message):
+        # the net file is absent: exit 2, not 3, shows it was never opened
+        assert run(*argv, "--net", workdir / "absent.nspec") == 2
+        assert message in capsys.readouterr().err
+
     def test_negative_bench_count_is_usage_error(self, workdir, capsys):
         # every input path is absent: exit 2, not 3, shows none was opened
         assert run("infer", "--net", workdir / "absent.nspec", "--weights",

@@ -67,6 +67,10 @@ class TestReadPpm:
         with pytest.raises(ImageFormatError):
             read_ppm(b"P6\n17 ")
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ImageFormatError, match="invalid dimensions 0x1"):
+            read_ppm(b"P6\n0 1\n255\n")
+
     @pytest.mark.parametrize("read, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
     def test_header_integer_past_digit_limit_rejected(self, read, magic):
         """int() refuses strings over 4300 digits; that is a format error."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from edanet import netdef
 from edanet.analyzer import analyze
 from edanet.netdef import (
     LayerSpec,
@@ -176,6 +177,53 @@ class TestNetspecFormat:
         with pytest.raises(NetspecError, match="header"):
             parse_netspec("eda name=m in=60 growth=40\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("net name=demo classes=2\neda name=m in=60 growth=40 in=60\n",
+         "line 2, col 28: duplicate key 'in'"),
+        ("net name=demo classes=2 depth=3\n", "line 1, col 25: unknown header key 'depth'"),
+        ("net name=demo upscale=2\n", "line 1, col 1: header missing 'classes'"),
+        ("# a comment\n\n", "empty network description: missing header line"),
+    ], ids=["repeated_layer_key", "unknown_header_key", "header_without_classes",
+            "no_header"])
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(NetspecError, match=message):
+            parse_netspec(text)
+
+    @pytest.mark.parametrize("layers, where", [
+        ("eda name=a in=60 growth=40\n\n  # a comment\n\neda name=b in=90 growth=40\n",
+         "line 7, col 1: layer 'b' expects 90 input channels"),
+        ("eda name=a in=60 growth=40\n# a comment\n    eda name=a in=100 growth=40\n",
+         "line 5, col 1: duplicate layer name 'a'"),
+        ("\n# a comment\n\neda name=m in=60\n",
+         "line 6, col 1: eda layer 'm' missing required key 'growth'"),
+    ], ids=["channel_chain", "indented_duplicate_name", "missing_key"])
+    def test_layer_fault_after_blank_and_comment_lines_reports_its_line(self, layers, where):
+        with pytest.raises(NetspecError, match=where):
+            parse_netspec(f"# a network\nnet name=demo classes=2\n{layers}")
+
+    def test_field_error_reported_before_an_earlier_duplicate_name(self):
+        text = (
+            "net name=demo classes=2\n"
+            "eda name=m in=60 growth=40\n"
+            "eda name=m in=100 growth=40\n"
+            "eda name=n in=140 growth=zero\n"
+        )
+        with pytest.raises(NetspecError, match="line 4, col 19: growth expects int"):
+            parse_netspec(text)
+
+    def test_each_parse_validates_the_layers_once(self, monkeypatch):
+        texts = [serialize_netspec(build_variant(variant)) for variant in VARIANTS]
+        real, calls = netdef._validate_layers, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(netdef, "_validate_layers", counted)
+        for text in texts:
+            parse_netspec(text)
+        assert len(calls) == len(texts)
+
     def test_two_projections_rejected(self):
         text = (
             "net name=demo classes=2\n"
@@ -237,6 +285,19 @@ class TestNetworkSpecValidation:
             LayerSpec("bilinear", name, factor=2)
         with pytest.raises(NetspecError, match="network name expects"):
             NetworkSpec(name, 2, [LayerSpec("bilinear", "u", factor=2)])
+
+    @pytest.mark.parametrize("classes, upscale, message", [
+        (0, 1, "classes must be >= 1, got 0"),
+        (2, 0, "upscale must be >= 1, got 0"),
+    ], ids=["classes", "upscale"])
+    def test_out_of_range_network_integer_rejected(self, classes, upscale, message):
+        with pytest.raises(NetspecError, match=message):
+            NetworkSpec("demo", classes, [LayerSpec("bilinear", "u", factor=2)],
+                        inference_upscale=upscale)
+
+    def test_unknown_kind_rejected_in_code(self):
+        with pytest.raises(NetspecError, match="unknown layer kind 'lstm'"):
+            LayerSpec("lstm", "x")
 
     def test_name_with_equals_sign_round_trips(self):
         net = NetworkSpec("n=1", 2, [LayerSpec("bilinear", "a=b", factor=2)])

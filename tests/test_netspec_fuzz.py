@@ -52,7 +52,8 @@ def test_one_token_mutation_fails_at_parse_or_round_trips(variant, data):
     lines[i][j] = new
     try:
         net = parse_netspec("\n".join(" ".join(line) for line in lines) + "\n")
-    except NetspecError:
+    except NetspecError as exc:
+        assert exc.line >= 1  # every parse error names its line
         return
     for layer in net.layers:
         expand_layer(layer)

@@ -526,6 +526,12 @@ class TestWeightFile:
         with pytest.raises(WeightFormatError, match="'a'"):
             deserialize_weights(blob)
 
+    def test_duplicate_name_rejected(self):
+        entry = serialize_weights(WeightStore({"a": np.ones(1, np.float32)}))[16:]
+        blob = b"EDAW" + struct.pack("<III", 1, 2, 0) + entry + entry
+        with pytest.raises(WeightFormatError, match="duplicate tensor name 'a'"):
+            deserialize_weights(blob)
+
     def test_scalar_and_multidim_entries(self):
         store = WeightStore({
             "v": np.arange(5, dtype=np.float32),
