@@ -219,15 +219,24 @@ def _check_dilation(rng: np.random.Generator) -> str | None:
 
 
 def _check_readout(rng: np.random.Generator) -> str | None:
-    """The banded readout must give the labels of the full-size resize and
-    argmax bit for bit, on tied maxima and a NaN logit too."""
-    for in_hw, out_hw in (((7, 9), (13, 31)), ((9, 10), (4, 3))):
+    """The banded readout must give the labels of the full-size resizes and
+    argmax bit for bit, on tied maxima and a NaN logit, and through x8 then
+    x2 (an ``up8`` network read out at upscale 2) or x8 alone (at upscale
+    1) with a +-inf logit, whose blends make NaN."""
+    cases = (((7, 9), [(13, 31)], np.nan), ((9, 10), [(4, 3)], np.nan),
+             ((3, 4), [(24, 32), (48, 64)], np.inf), ((3, 4), [(24, 32)], -np.inf))
+    for in_hw, sizes, planted in cases:
         data = rng.integers(-2, 3, (1, 5) + in_hw).astype(np.float32)
-        data[0, 3, in_hw[0] // 2, in_hw[1] // 2] = np.nan
+        data[0, 3, in_hw[0] // 2, in_hw[1] // 2] = planted
         x = Tensor(data)
-        want = tensorops.argmax_channels(tensorops.bilinear_resize(x, *out_hw))
-        if not np.array_equal(tensorops.resize_argmax(x, *out_hw), want):
-            return f"{in_hw} -> {out_hw}: label maps differ"
+        with np.errstate(invalid="ignore"):
+            y = x
+            for size in sizes:
+                y = tensorops.bilinear_resize(y, *size)
+            want = tensorops.argmax_channels(y)
+            got = tensorops.resize_argmax(x, *sizes[-1], sizes[:-1])
+        if not np.array_equal(got, want):
+            return f"{in_hw} -> {' -> '.join(map(str, sizes))}: label maps differ"
     return None
 
 

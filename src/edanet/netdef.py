@@ -9,8 +9,9 @@ primitive-step tree the analyzer and executor consume.
 from __future__ import annotations
 
 import functools
+import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 from . import blocks
@@ -95,6 +96,16 @@ class LayerSpec:
                 object.__setattr__(self, attr, default)
             elif _decode(codec, f"{what}: {key}", codec[2](value)) != value:
                 raise NetspecError(f"{what}: {key} expects {codec[0]}, got {value!r}")
+        object.__setattr__(self, "_hash", hash(_fields_of(self)))
+
+    # Specs key the lowering, analysis and weight-table memos, so each hashes
+    # its fields once, when built.  A pickle rebuilds the spec through its
+    # constructor: a string's hash differs between processes.
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return LayerSpec, _fields_of(self)
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,24 @@ class NetworkSpec:
         object.__setattr__(self, "train_size", tuple(train_size))
         object.__setattr__(self, "inference_upscale", int(inference_upscale))
         _validate_network(self)
+        object.__setattr__(self, "_hash", hash(_fields_of(self)))
+
+    def __hash__(self):  # as LayerSpec's
+        return self._hash
+
+    def __reduce__(self):
+        return NetworkSpec, _fields_of(self)
+
+
+def _fields_of(spec) -> tuple:
+    """The spec's field values in declaration order, the tuple the
+    generated ``__eq__`` compares."""
+    return _field_getter(type(spec))(spec)
+
+
+@functools.cache
+def _field_getter(cls):
+    return operator.attrgetter(*(f.name for f in fields(cls)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .blocks import (
     param_shapes,
 )
 from .analyzer import analyze
-from .netdef import NetworkSpec, _lowered, expand_layer, fold_layer
+from .netdef import LayerSpec, NetworkSpec, _lowered, expand_layer, fold_layer
 from .tensorops import (
     BN_EPS,
     BnParams,
@@ -187,9 +187,15 @@ def _draw_uniform(tensor_name: str, seed: int, shape: tuple, bound: float) -> np
 @functools.lru_cache(maxsize=256)
 def _param_table(net: NetworkSpec) -> tuple:
     """``(step, name, shape)`` of every weight the network reads, in store
-    order; computed once per network."""
+    order; computed once per network from its layers' entries, which
+    networks that share a layer (as ``infer_image``'s trunk does) share."""
+    return tuple(entry for layer in net.layers for entry in _layer_params(layer))
+
+
+@functools.lru_cache(maxsize=1024)
+def _layer_params(layer: LayerSpec) -> tuple:
     return tuple((prim, f"{prim.name}.{suffix}", shape)
-                 for layer in net.layers for prim in iter_prims(_lowered(layer))
+                 for prim in iter_prims(_lowered(layer))
                  for suffix, shape in param_shapes(prim))
 
 
@@ -355,11 +361,27 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     return x
 
 
+@functools.lru_cache(maxsize=256)
+def _readout_split(net: NetworkSpec) -> tuple:
+    """``(trunk, factors)``: the network without its trailing ``bilinear``
+    layers (the first layer always stays) and their factors in order;
+    computed once per network."""
+    k = len(net.layers)
+    while k > 1 and net.layers[k - 1].kind == "bilinear":
+        k -= 1
+    if k == len(net.layers):
+        return net, ()
+    return replace(net, layers=net.layers[:k]), tuple(l.factor for l in net.layers[k:])
+
+
 def infer_image(net: NetworkSpec, weights: WeightStore, image: Tensor) -> LabelMap:
-    """End-to-end inference: forward pass, then the per-pixel channel
-    argmax of the logits bilinearly upscaled by the network's inference
-    factor, computed band by band (``resize_argmax``) so the upscaled
-    logits are never held in full."""
+    """End-to-end inference: the per-pixel channel argmax of the network's
+    logits bilinearly upscaled by its inference factor.  ``forward`` runs
+    the network without its trailing ``bilinear`` layers; ``resize_argmax``
+    then reads the labels through those layers' resizes and the inference
+    upscale band by band, so neither upscaled logit tensor is ever held in
+    full.  The labels are those of ``forward`` followed by
+    ``bilinear_resize`` and ``argmax_channels``, bit for bit."""
     if image.n != 1:
         raise ShapeError(f"inference expects batch size 1, got {image.n}")
     lo, hi = float(image.data.min()), float(image.data.max())
@@ -367,11 +389,19 @@ def infer_image(net: NetworkSpec, weights: WeightStore, image: Tensor) -> LabelM
         raise ValueError(
             f"image values must lie in [0, 1], got [{lo:.4g}, {hi:.4g}]"
         )
-    logits = forward(net, weights, image)
+    trunk, factors = _readout_split(net)
+    logits = forward(trunk, weights, image)
+    h, w, sizes = logits.h, logits.w, []
+    for f in factors:
+        h, w = h * f, w * f
+        sizes.append((h, w))
     u = net.inference_upscale
-    if u == 1:
+    if u > 1:  # a resize to the same size is not the identity on +-inf
+        sizes.append((h * u, w * u))
+    if not sizes:
         return argmax_channels(logits)
-    return resize_argmax(logits, logits.h * u, logits.w * u)
+    *via, (out_h, out_w) = sizes
+    return resize_argmax(logits, out_h, out_w, via)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ bias and an optional ReLU are applied to each finished band.  edanet starts
 no threads; OpenBLAS runs each sgemm on as many as ``set_num_threads`` or
 ``OPENBLAS_NUM_THREADS`` gives it, and no sgemm shape depends on that count,
 so results are bit-identical for any count on one numpy/OpenBLAS build.  The
-readout ``resize_argmax`` runs bands of output rows one after another; within
-a band it blends along x the input rows the band reads, then along y, then
-takes the channel argmax, the same float32 operations per pixel as
-``bilinear_resize`` followed by ``argmax_channels``.
+readout ``resize_argmax`` takes logits through a chain of bilinear sizes to
+their label map, one band of output rows after another.  For a band, each
+size in the chain blends along x only the rows of the size before it that
+the band reads, then along y; then the band's channel argmax is taken.  These
+are the same float32 operations per pixel as ``bilinear_resize`` at each size
+followed by ``argmax_channels``; no resized logits are ever held in full.
 """
 
 from __future__ import annotations
@@ -167,6 +169,9 @@ class Kernel:
         return self.weights.shape[3]
 
 
+_BN_VECTORS = ("gamma", "beta", "running_mean", "running_var")
+
+
 @dataclass(frozen=True)
 class BnParams:
     """Batch-normalization inference parameters, one entry per channel."""
@@ -178,19 +183,20 @@ class BnParams:
     eps: float = BN_EPS
 
     def __post_init__(self):
-        vecs = {}
-        for field in ("gamma", "beta", "running_mean", "running_var"):
-            v = _as_f32(getattr(self, field), f"BnParams.{field}")
+        for field in _BN_VECTORS:
+            v = getattr(self, field)
+            if type(v) is not np.ndarray or v.dtype != np.float32:
+                v = _as_f32(v, f"BnParams.{field}")
+                object.__setattr__(self, field, v)
             if v.ndim != 1:
                 raise ShapeError(f"BnParams.{field} must be 1-D, got {v.shape}")
-            vecs[field] = v
-            object.__setattr__(self, field, v)
-        lengths = {v.shape[0] for v in vecs.values()}
-        if len(lengths) != 1:
+        var = self.running_var
+        if not self.gamma.shape == self.beta.shape == self.running_mean.shape == var.shape:
+            lengths = {getattr(self, field).shape[0] for field in _BN_VECTORS}
             raise ShapeError(f"BnParams vectors disagree in length: {lengths}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if np.any(vecs["running_var"] < 0):
+        if np.count_nonzero(var < 0):
             raise ValueError("running_var entries must be >= 0")
 
     @property
@@ -513,12 +519,15 @@ def _axis_coords(n_in: int, n_out: int):
     return lo, hi, frac
 
 
-def _blend(a: np.ndarray, lo, hi, frac: np.ndarray, axis: int) -> np.ndarray:
+def _blend(a: np.ndarray, lo, hi, frac: np.ndarray, axis: int,
+           out=None, right=None) -> np.ndarray:
     """a[lo] * (1 - frac) + a[hi] * frac along ``axis``, in float32; ``frac``
-    broadcasts against the gathered arrays."""
-    out = np.take(a, lo, axis=axis)
+    broadcasts against the gathered arrays.  The gathers write into ``out``
+    and ``right`` when given; ``mode="clip"`` (the indices are in range)
+    lets ``np.take`` write there without a temporary."""
+    out = np.take(a, lo, axis=axis, out=out, mode="clip")
     out *= np.float32(1.0) - frac
-    right = np.take(a, hi, axis=axis)
+    right = np.take(a, hi, axis=axis, out=right, mode="clip")
     right *= frac
     out += right
     return out
@@ -552,30 +561,56 @@ def argmax_channels(input: Tensor) -> LabelMap:
 _READOUT_BAND_PIXELS = 16384
 
 
-def resize_argmax(logits: Tensor, out_h: int, out_w: int) -> LabelMap:
+def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
     """The label map ``argmax_channels(bilinear_resize(logits, out_h,
-    out_w))``, bit for bit, without building the resized logits.
+    out_w))``, bit for bit, without building the resized logits.  ``via``
+    lists the sizes ``(h, w)`` the logits are first resized to, in order:
+    with ``via=[(h1, w1)]`` the labels are those of
+    ``bilinear_resize(bilinear_resize(logits, h1, w1), out_h, out_w)``.
 
     One channels-last copy of the logits is made; then, for each band of
-    output rows in turn, only the input rows the band reads are blended
-    along x, those are blended along y, and the channel argmax of the band
-    is written into the label map.
+    output rows in turn, each size blends along x only the rows of the size
+    before it that the band reads, then along y, and the channel argmax of
+    the band is written into the label map.  A row of an intermediate size
+    that two bands read is blended once for each.
     """
     if logits.n != 1:
         raise ShapeError(f"resize_argmax expects batch size 1, got {logits.n}")
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output dims must be >= 1")
-    y0, y1, fy = _axis_coords(logits.h, out_h)
-    x0, x1, fx = _axis_coords(logits.w, out_w)
-    fx = fx[:, None]
-    fy = fy[:, None, None]
-    hwc = np.ascontiguousarray(logits.data[0].transpose(1, 2, 0))
-    labels = np.empty((out_h, out_w), np.int32)
+    sizes = (*via, (out_h, out_w))
+    stages, h, w = [], logits.h, logits.w
+    for oh, ow in sizes:
+        if oh < 1 or ow < 1:
+            raise ValueError("output dims must be >= 1")
+        y0, y1, fy = _axis_coords(h, oh)
+        x0, x1, fx = _axis_coords(w, ow)
+        stages.append((y0, y1, fy[:, None, None], x0, x1, fx[:, None]))
+        h, w = oh, ow
+    # each band's row span at every size, the logits' first
     step = max(1, _READOUT_BAND_PIXELS // out_w)
+    bands = []
     for r0 in range(0, out_h, step):
-        r1 = min(r0 + step, out_h)
-        first = y0[r0]
-        rows = _blend(hwc[first : y1[r1 - 1] + 1], x0, x1, fx, axis=1)
-        band = _blend(rows, y0[r0:r1] - first, y1[r0:r1] - first, fy[r0:r1], axis=0)
-        labels[r0:r1] = np.argmax(band, axis=-1)
+        spans = [(r0, min(r0 + step, out_h))]
+        for y0, y1, *_ in reversed(stages):
+            a, b = spans[0]
+            spans.insert(0, (y0[a], y1[b - 1] + 1))
+        bands.append(spans)
+    # Every band blends into the same buffers: with arrays allocated band by
+    # band, a long run's heap kept growing (about 0.6 MiB per 512x1024 frame,
+    # glibc on x86-64).
+    most = [max(b - a for a, b in column) for column in zip(*bands)]
+    buffers = [[np.empty((n, w, logits.c), np.float32) for n in (n_in, n_in, n_out, n_out)]
+               for n_in, n_out, (_, w) in zip(most, most[1:], sizes)]
+    hwc = np.ascontiguousarray(logits.data[0].transpose(1, 2, 0))
+    index = np.empty((most[-1], out_w), np.intp)
+    labels = np.empty((out_h, out_w), np.int32)
+    for spans in bands:
+        x = hwc[spans[0][0] : spans[0][1]]
+        for stage, (xo, xr, yo, yr), (first, last), (a, b) in zip(
+                stages, buffers, spans, spans[1:]):
+            y0, y1, fy, x0, x1, fx = stage
+            x = _blend(x, x0, x1, fx, 1, xo[: last - first], xr[: last - first])
+            x = _blend(x, y0[a:b] - first, y1[a:b] - first, fy[a:b], 0,
+                       yo[: b - a], yr[: b - a])
+        r0, r1 = spans[-1]
+        labels[r0:r1] = np.argmax(x, axis=-1, out=index[: r1 - r0])
     return labels

@@ -1,5 +1,11 @@
 """Variant builders and the .nspec text format."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from edanet import netdef
@@ -302,3 +308,53 @@ class TestNetworkSpecValidation:
     def test_name_with_equals_sign_round_trips(self):
         net = NetworkSpec("n=1", 2, [LayerSpec("bilinear", "a=b", factor=2)])
         assert parse_netspec(serialize_netspec(net)) == net
+
+
+def field_values(spec) -> tuple:
+    return tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
+
+
+class TestSpecHashing:
+    """Specs key the lowering, analysis and weight-table memos; each
+    hashes its fields once, when built."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equal_specs_hash_equal(self, variant):
+        built = build_variant(variant)
+        parsed = parse_netspec(serialize_netspec(built))
+        assert parsed == built and parsed is not built
+        assert hash(parsed) == hash(built) == hash(field_values(built))
+        for a, b in zip(built.layers, parsed.layers):
+            assert hash(a) == hash(b) == hash(field_values(a))
+        first = built.layers[0]
+        assert hash(dataclasses.replace(dataclasses.replace(first, name="x"),
+                                        name=first.name)) == hash(first)
+
+    def test_unequal_specs_hash_their_own_fields(self):
+        a, b = build_variant("edanet"), build_variant("edanet", classes=11)
+        assert a != b and hash(b) == hash(field_values(b))
+        folded = netdef.fold_layer(a.layers[0])
+        assert folded != a.layers[0] and hash(folded) == hash(field_values(folded))
+
+    def test_lookup_does_not_rehash_the_layers(self, monkeypatch):
+        a, b = build_variant("edanet"), build_variant("edanet")
+
+        def rehash(self):
+            raise AssertionError("LayerSpec hashed again")
+
+        monkeypatch.setattr(LayerSpec, "__hash__", rehash)
+        assert {a: "memo"}[b] == "memo"
+
+    def test_pickle_in_another_hash_seed_round_trips(self):
+        """A string's hash differs between processes, so an unpickled spec
+        hashes its fields again rather than carrying the sender's hash."""
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = ("import pickle, sys; from edanet.netdef import build_variant; "
+                "sys.stdout.buffer.write(pickle.dumps(build_variant('edanet')))")
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        sent = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, check=True).stdout
+        net = pickle.loads(sent)
+        assert {build_variant("edanet"): "memo"}[net] == "memo"
+        assert all(hash(layer) == hash(field_values(layer)) for layer in net.layers)

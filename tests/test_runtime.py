@@ -273,6 +273,17 @@ class TestForward:
         forward(net, store, rand_input())
         assert seen == [layer.name for layer in net.layers]
 
+    def test_returns_the_upsampled_logits(self):
+        """A network's trailing bilinear layers still run in ``forward``."""
+        net = build_variant("edanet", classes=19)
+        store = init_weights(net, seed=19)
+        x = rand_input(19)
+        trunk = NetworkSpec(net.name, net.classes, net.layers[:-1])
+        small = forward(trunk, store, x)
+        logits = forward(net, store, x)
+        assert small.shape == (1, 19, 2, 4) and logits.shape == (1, 19, 16, 32)
+        assert np.array_equal(logits.data, bilinear_resize(small, 16, 32).data)
+
     def test_layers_lowered_once_when_built(self, monkeypatch):
         """Lowering, BN-fold rewrite included, runs when the network is
         built; running, analyzing and initializing it reuse the trees."""
@@ -584,6 +595,108 @@ class TestInferImage:
         assert np.array_equal(
             labels, argmax_channels(bilinear_resize(logits, 18, 28))
         )
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["unfolded", "folded"])
+    @pytest.mark.parametrize("upscale", [1, 2])
+    @pytest.mark.parametrize("variant", netdef.VARIANTS)
+    def test_labels_are_the_composed_ops_bit_for_bit(self, variant, upscale, folded):
+        net = build_variant(variant, classes=19, upscale=upscale)
+        store = init_weights(net, seed=11)
+        randomize_bn(store, np.random.default_rng(12))
+        if folded:
+            f = fold_batch_norm(net, store)
+            net, store = f.net, f.weights
+        x = rand_input(13)
+        logits = forward(net, store, x)
+        if upscale > 1:
+            logits = bilinear_resize(logits, logits.h * upscale, logits.w * upscale)
+        assert np.array_equal(infer_image(net, store, x), argmax_channels(logits))
+
+    @pytest.mark.parametrize("upscale", [1, 3])
+    def test_two_trailing_bilinear_layers(self, upscale):
+        net = NetworkSpec("two_up", 4, [
+            LayerSpec("conv", "c", in_ch=3, out_ch=6, kh=3, kw=3, pad_h=1, pad_w=1),
+            LayerSpec("projection", "proj", in_ch=6, classes=4),
+            LayerSpec("bilinear", "up2", factor=2),
+            LayerSpec("bilinear", "up3", factor=3),
+        ], inference_upscale=upscale)
+        store = init_weights(net, seed=14)
+        x = rand_input(14, shape=(1, 3, 5, 7))
+        logits = forward(net, store, x)
+        if upscale > 1:
+            logits = bilinear_resize(logits, 30 * upscale, 42 * upscale)
+        assert np.array_equal(infer_image(net, store, x), argmax_channels(logits))
+
+    @pytest.mark.parametrize("upscale", [1, 2])
+    def test_infinite_logits_read_out_as_the_composed_ops(self, upscale):
+        """Projection weights of +-3e38 overflow to +inf logits in one
+        channel and -inf in another wherever two input channels sum past
+        about 1.13.  Blends that weigh an infinity by zero make NaN, so a
+        resize to the same size would change labels at upscale 1."""
+        net = NetworkSpec("inf", 5, [
+            LayerSpec("projection", "proj", in_ch=3, classes=5),
+            LayerSpec("bilinear", "up4", factor=4),
+        ], inference_upscale=upscale)
+        store = init_weights(net, seed=15)
+        w = store["proj.conv1x1.w"].copy()
+        w[2, :2, 0, 0] = 3e38
+        w[3, ::2, 0, 0] = -3e38
+        store["proj.conv1x1.w"] = w
+        x = rand_input(15, shape=(1, 3, 6, 7))
+        with np.errstate(invalid="ignore", over="ignore"):
+            logits = forward(net, store, x)
+            upscaled = bilinear_resize(logits, 48, 56) if upscale > 1 else logits
+            want = argmax_channels(upscaled)
+            got = infer_image(net, store, x)
+        assert np.isposinf(logits.data[0, 2]).any() and np.isneginf(logits.data[0, 3]).any()
+        assert np.array_equal(got, want)
+
+    def test_edanet_readout_never_builds_the_up8_output(self, monkeypatch):
+        net = build_variant("edanet", classes=19, upscale=2)
+        store = init_weights(net, seed=16)
+        x = rand_input(16)
+        want = argmax_channels(bilinear_resize(forward(net, store, x), 32, 64))
+        resized = count_calls(monkeypatch, runtime, "bilinear_resize")
+        assert np.array_equal(infer_image(net, store, x), want)
+        assert resized == []
+
+    def test_trunk_shares_the_weight_table_entries(self):
+        """The trunk's weight table holds the network's own entries, so
+        memoizing it beside the network's costs no second copy."""
+        net = build_variant("edanet", classes=19)
+        trunk = NetworkSpec(net.name, net.classes, net.layers[:-1])
+        assert all(a is b for a, b in zip(runtime._param_table(trunk),
+                                          runtime._param_table(net), strict=True))
+
+    @pytest.mark.parametrize("net,dropped", [
+        (build_variant("edanet", classes=19), 1),
+        (build_variant("erfdec", classes=19), 0),
+        (NetworkSpec("ups", 3, [LayerSpec("bilinear", "a", factor=2),
+                                LayerSpec("bilinear", "b", factor=3)]), 1),
+    ], ids=["edanet", "erfdec", "bilinear_only"])
+    def test_runs_the_trunk_through_the_public_forward(self, monkeypatch, net, dropped):
+        """``infer_image`` calls ``edanet.runtime.forward``, which per-layer
+        timing from outside the package wraps, on a trunk memoized per
+        network that keeps every layer but the trailing bilinear ones (at
+        least one), and ``forward`` marks each layer it runs."""
+        store = init_weights(net, seed=17)
+        fwd, trunks = runtime.forward, []
+
+        def record(n, weights, x):
+            trunks.append(n)
+            return fwd(n, weights, x)
+
+        monkeypatch.setattr(runtime, "forward", record)
+        marked = []
+        expand = runtime.expand_layer
+        monkeypatch.setattr(runtime, "expand_layer",
+                            lambda layer: marked.append(layer.name) or expand(layer))
+        for seed in (17, 18):
+            infer_image(net, store, rand_input(seed))
+        kept = net.layers[: len(net.layers) - dropped]
+        assert trunks[0] is trunks[1]
+        assert trunks[0].layers == kept
+        assert marked == [layer.name for layer in kept] * 2
 
     def test_unit_upscale_is_the_argmax_of_the_logits(self):
         net = build_variant("shallow", classes=19, upscale=1)

@@ -518,6 +518,29 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             batch_norm(Tensor.zeros(1, 3, 2, 2), BnParams.identity(4))
 
+    @pytest.mark.parametrize("field,value,error,match", [
+        ("gamma", np.ones(3), TypeError, r"BnParams\.gamma must be float32, got float64"),
+        ("beta", np.ones((3, 1), np.float32), ShapeError,
+         r"BnParams\.beta must be 1-D, got \(3, 1\)"),
+        ("running_mean", np.ones(2, np.float32), ShapeError,
+         r"BnParams vectors disagree in length: \{2, 3\}"),
+        ("eps", 0.0, ValueError, "eps must be positive, got 0.0"),
+        ("running_var", np.array([1, -1, 1], np.float32), ValueError,
+         "running_var entries must be >= 0"),
+    ])
+    def test_bad_params_rejected(self, field, value, error, match):
+        params = {f: np.ones(3, np.float32)
+                  for f in ("gamma", "beta", "running_mean", "running_var")}
+        params[field] = value
+        with pytest.raises(error, match=match):
+            BnParams(**params)
+
+    def test_float32_array_likes_become_arrays(self):
+        p = BnParams(*([np.float32(1.0)] * 2 for _ in range(4)))
+        assert all(type(v) is np.ndarray and v.dtype == np.float32
+                   for v in (p.gamma, p.beta, p.running_mean, p.running_var))
+        assert p.channels == 2
+
 
 class TestElementwise:
     def test_relu(self):
@@ -659,6 +682,95 @@ class TestResizeArgmax:
             resize_argmax(Tensor.zeros(2, 1, 2, 2), 4, 4)
         with pytest.raises(ValueError, match=">= 1"):
             resize_argmax(Tensor.zeros(1, 1, 2, 2), 0, 4)
+
+
+def logits_with(seed, c, h, w, planted):
+    """Integer-valued logits, so the blends tie often, with channels 1 and
+    2 tied for the maximum over the middle row and ``planted`` written
+    into three channels: at the top-left corner, at the middle of the
+    left border and at the centre (one pixel of a 1x1 input)."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-3, 4, (1, c, h, w)).astype(np.float32)
+    data[0, 1:3, h // 2] = 9.0
+    data[0, 0, 0, 0] = data[0, 3, h // 2, 0] = data[0, c - 1, h // 2, w // 2] = planted
+    return Tensor(data)
+
+
+def nested_labels(x, sizes):
+    """The labels of ``x`` resized to each size in turn, in full."""
+    for size in sizes:
+        x = bilinear_resize(x, *size)
+    return argmax_channels(x)
+
+
+class TestChainedReadout:
+    """``resize_argmax`` through intermediate sizes gives the labels of the
+    nested full-size resizes bit for bit; a +-inf logit makes NaN where a
+    blend weighs it by zero or meets the opposite infinity."""
+
+    BAND_ROWS = tensorops._READOUT_BAND_PIXELS // 40
+    CHAINS = {
+        "x8_then_x2": ((4, 5), [(32, 40), (64, 80)]),
+        "x2_then_x3": ((5, 3), [(10, 6), (30, 18)]),
+        "from_1x1": ((1, 1), [(8, 8), (16, 16)]),
+        "one_row": ((1, 6), [(8, 48), (16, 96)]),
+        "one_column": ((6, 1), [(48, 8), (96, 16)]),
+        "down_then_up": ((9, 10), [(4, 3), (11, 7)]),
+        "partial_last_band": ((3, 5), [(24, 40), (2 * BAND_ROWS + BAND_ROWS // 3, 40)]),
+    }
+    PLANTED = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    @pytest.mark.parametrize("planted", PLANTED)
+    def test_matches_nested_resizes_bit_for_bit(self, chain, planted):
+        in_hw, sizes = self.CHAINS[chain]
+        x = logits_with(31, 6, *in_hw, self.PLANTED[planted])
+        with np.errstate(invalid="ignore"):
+            want = nested_labels(x, sizes)
+            got = resize_argmax(x, *sizes[-1], sizes[:-1])
+        assert got.dtype == np.int32 and got.shape == sizes[-1]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_one_pixel_bands_give_the_nested_labels(self, chain, monkeypatch):
+        """One output row per band: every band starts and ends a read
+        window, also on the rows that hold the infinities."""
+        in_hw, sizes = self.CHAINS[chain]
+        data = logits_with(32, 6, *in_hw, np.inf).data.copy()
+        data[0, 4, -1, -1] = -np.inf
+        x = Tensor(data)
+        monkeypatch.setattr(tensorops, "_READOUT_BAND_PIXELS", 1)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(resize_argmax(x, *sizes[-1], sizes[:-1]),
+                                  nested_labels(x, sizes))
+
+    def test_infinities_reach_the_label_map(self):
+        """The chains above meet what +-inf logits make: the nested
+        resizes hold NaN and infinities, and each channel that holds +inf
+        wins somewhere."""
+        x = logits_with(33, 6, 4, 5, np.inf)
+        with np.errstate(invalid="ignore"):
+            resized = bilinear_resize(bilinear_resize(x, 32, 40), 64, 80).data
+            labels = resize_argmax(x, 64, 80, [(32, 40)])
+        assert np.isnan(resized).any() and np.isinf(resized).any()
+        assert {0, 3, 5} <= set(np.unique(labels).tolist())
+
+    def test_rejects_an_empty_intermediate_size(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            resize_argmax(Tensor.zeros(1, 1, 2, 2), 4, 4, [(8, 0)])
+
+    def test_never_holds_an_intermediate_size(self):
+        """19x64x128 read out x8 then x2 allocates less than half of the
+        38 MiB the x8 logits would take."""
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.standard_normal((1, 19, 64, 128)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            resize_argmax(x, 1024, 2048, [(512, 1024)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 512 * 1024 * 4 / 2
 
 
 class TestArgmax:
