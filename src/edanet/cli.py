@@ -220,14 +220,40 @@ def _check_dilation(rng: np.random.Generator) -> str | None:
 
 def _check_readout(rng: np.random.Generator) -> str | None:
     """The banded readout must give the labels of the full-size resizes and
-    argmax bit for bit, on tied maxima and a NaN logit, and through x8 then
-    x2 (an ``up8`` network read out at upscale 2) or x8 alone (at upscale
-    1) with a +-inf logit, whose blends make NaN."""
-    cases = (((7, 9), [(13, 31)], np.nan), ((9, 10), [(4, 3)], np.nan),
-             ((3, 4), [(24, 32), (48, 64)], np.inf), ((3, 4), [(24, 32)], -np.inf))
-    for in_hw, sizes, planted in cases:
+    argmax bit for bit: on tied maxima and a NaN logit; through x8 then x2
+    (an ``up8`` network read out at upscale 2) or x8 alone (at upscale 1)
+    with a +-inf logit, whose blends make NaN; where one channel leads
+    another by 0, 1 or a few ulps (including two leads that blending
+    rounds to a tie, one of them subnormal), or by just more or just less
+    than the lead under which a window is blended rather than settled; on
+    subnormal logits; and on noise read out x8 alone, where most windows
+    are blended."""
+    cases = []
+    for in_hw, sizes, planted in (((7, 9), [(13, 31)], np.nan), ((9, 10), [(4, 3)], np.nan),
+                                  ((3, 4), [(24, 32), (48, 64)], np.inf),
+                                  ((3, 4), [(24, 32)], -np.inf)):
         data = rng.integers(-2, 3, (1, 5) + in_hw).astype(np.float32)
         data[0, 3, in_hw[0] // 2, in_hw[1] // 2] = planted
+        cases.append((data, sizes))
+    base = rng.uniform(1, 2, (1, 1, 6, 8)).astype(np.float32)
+    for ulps in (0, 1, 3):
+        steps = rng.integers(0, ulps + 1, base.shape, dtype=np.int32)
+        ahead = (base.view(np.int32) + steps).view(np.float32)
+        cases.append((np.concatenate([base, ahead, base - 1], axis=1), [(12, 16)]))
+    for scale in (0.875, 1.125):
+        data = np.concatenate([base, base, base - 1], axis=1)
+        data[0, 1] += np.float32(scale) * tensorops._lead_bound(data)
+        cases.append((data, [(12, 16)]))
+    # blending rounds a lead of 1-2 ulps, or of one subnormal step, to a tie
+    base = np.array([[1.8574042, 1.0335855], [1.7296555, 1.1756556]], np.float32)
+    ahead = (base.view(np.int32) + np.array([[1, 2], [1, 2]], np.int32)).view(np.float32)
+    cases.append((np.stack([base, ahead])[None], [(4, 4)]))
+    step = np.float32(2.0**-149)
+    cases.append((np.array([[[[0, 2]], [[1, 3]]]], np.float32) * step, [(2, 4)]))
+    tiny = rng.integers(0, 4, (1, 3, 5, 6)).astype(np.float32) * step
+    cases += [(tiny, [(10, 12)]), (tiny, [(10, 12), (20, 24)]),
+              (rng.standard_normal((1, 5, 6, 7)).astype(np.float32), [(48, 56)])]
+    for data, sizes in cases:
         x = Tensor(data)
         with np.errstate(invalid="ignore"):
             y = x
@@ -236,7 +262,8 @@ def _check_readout(rng: np.random.Generator) -> str | None:
             want = tensorops.argmax_channels(y)
             got = tensorops.resize_argmax(x, *sizes[-1], sizes[:-1])
         if not np.array_equal(got, want):
-            return f"{in_hw} -> {' -> '.join(map(str, sizes))}: label maps differ"
+            return (f"{data.shape[2:]} -> {' -> '.join(map(str, sizes))}: "
+                    "label maps differ")
     return None
 
 

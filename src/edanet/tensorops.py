@@ -13,10 +13,15 @@ no threads; OpenBLAS runs each sgemm on as many as ``set_num_threads`` or
 so results are bit-identical for any count on one numpy/OpenBLAS build.  The
 readout ``resize_argmax`` takes logits through a chain of bilinear sizes to
 their label map, one band of output rows after another.  For a band, each
-size in the chain blends along x only the rows of the size before it that
-the band reads, then along y; then the band's channel argmax is taken.  These
-are the same float32 operations per pixel as ``bilinear_resize`` at each size
-followed by ``argmax_channels``; no resized logits are ever held in full.
+size but the last blends, channels first, along x only the rows of the size
+before it that the band reads, then along y.  The last stage labels without
+blending every output pixel whose 2x2 source window agrees on a channel that
+leads every other channel, at all four pixels, by more than a bound on the
+float32 rounding of the last two blends (2^-18 max|logits| + 2^-144).  Only
+the other pixels are blended, with the same float32 operations as
+``bilinear_resize``, and their channel argmax taken, so the labels equal
+``argmax_channels`` of the nested resizes bit for bit; no resized logits are
+ever held in full.
 """
 
 from __future__ import annotations
@@ -558,7 +563,124 @@ def argmax_channels(input: Tensor) -> LabelMap:
 # resize_argmax works on bands of whole output rows holding about this many
 # pixels, one after another.  Every pixel gets the same float32 operations
 # whatever the band size, so the band size changes only speed and memory.
-_READOUT_BAND_PIXELS = 16384
+_READOUT_BAND_PIXELS = 32768
+
+# A band whose unsettled windows feed more than this share of its output
+# pixels is blended whole instead of window by window.  On folded edanet's
+# logits of the bench pool images (2-core Xeon VM), blending window by window
+# cost 15 + 213 s ns per band pixel at share s for the x2 stage of x8 then x2,
+# against 90 ns for the whole band, and 26 + 81 s against 53 ns at x8 alone:
+# the costs cross at s = 0.35 and 0.33.  The share is set below that: the
+# arrays of the window-by-window path grow with it.
+_READOUT_DENSE_SHARE = 0.25
+
+# _first_argmax compares channel rows one by one from this many pixels on;
+# below it numpy's argmax, with one call instead of three per channel, is
+# faster.  Over 19 channels numpy took 58 us at 1024 pixels and 113 us at
+# 2048, the running comparison 102 us and 61 us (2-core Xeon VM).
+_RUNNING_ARGMAX_PIXELS = 2048
+
+
+def _lead_bound(x: np.ndarray):
+    """How far a source pixel's top channel must lead every other channel
+    for the last stage's two blends to keep it on top; None when ``x``
+    holds NaN, an infinity or a magnitude near overflow.
+
+    Let M = max|x|, u = 2^-24 and e = 2^-150.  Rounding to nearest in
+    float32 with gradual underflow gives fl(ab) = ab(1 + d) + f and
+    fl(a + b) = (a + b)(1 + d), with |d| <= u and |f| <= e: a subnormal
+    product rounds absolutely, and a sum of subnormals is exact.  An output
+    value V = (S00 ax + S01 bx) ay + (S10 ax + S11 bx) by, where
+    ax = fl(1 - fx) and ay = fl(1 - fy), takes six products and three
+    sums.  Its corner weights w sum to W = (ax + bx)(ay + by), in
+    [(1 - u)^2, (1 + u)^2], so |V - sum(w S)| <= 4.01 (u W M' + e) when
+    M' bounds the source values.  Every stage is such a blend, so after s
+    stages M' <= (1 + 7u)^s M + 5 s e, and no value overflows while
+    M < 2^100.  If channel k leads every channel c by more than g at all
+    four corners, V_k - V_c >= W g - 8.02 (u W M' + e), which is positive
+    for g > 8.02 u M' + 8.03 e.  The lead is tested as S_c < fl(m - T), m
+    the top value, and the subtraction is off by at most u (M' + T).  So
+    T >= 9.1 u M + 8.1 e suffices for any chain under a million stages, and
+    T = 2^-18 M + 2^-144 = 64 (u M + e) keeps a margin of seven."""
+    hi, lo = float(x.max()), float(x.min())
+    if not (hi < 2.0 ** 100 and -lo < 2.0 ** 100):  # also NaN
+        return None
+    return np.float32(max(hi, -lo) * 2.0 ** -18 + 2.0 ** -144)
+
+
+def _runs(lo: np.ndarray):
+    """The runs of equal values in the monotone source indices ``lo``:
+    each run's value, its first index and its length."""
+    starts = np.flatnonzero(np.r_[True, lo[1:] != lo[:-1]])
+    return lo[starts], starts, np.diff(np.r_[starts, len(lo)])
+
+
+def _first_argmax(v: np.ndarray, finite: bool) -> np.ndarray:
+    """``np.argmax(v, axis=0)``.  On finite values a running comparison
+    over the channel rows gives the same first maximum, several times
+    faster per pixel than numpy's argmax along the leading axis."""
+    if not finite or v.shape[1] < _RUNNING_ARGMAX_PIXELS:
+        return np.argmax(v, axis=0)
+    best, label = v[0].copy(), np.zeros(v.shape[1], np.min_scalar_type(len(v)))
+    ahead = np.empty(v.shape[1], bool)
+    for k in range(1, len(v)):
+        np.greater(v[k], best, out=ahead)
+        np.maximum(best, v[k], out=best)
+        np.maximum(label, ahead.view(np.uint8) * label.dtype.type(k), out=label)
+    return label
+
+
+def _blend_rows(x, stage, buffer, rows_in, rows_out):
+    """Blend the rows ``rows_in`` of a channels-first size, held in ``x``,
+    into the rows ``rows_out`` of the next size, along x then along y.
+    ``buffer`` holds three flat buffers: the x blend, the right-hand terms
+    of both blends, and the y blend.  The y weights are spread along each
+    row, so every multiply runs over contiguous rows."""
+    (first, last), (a, b) = rows_in, rows_out
+    y0, y1, fy, x0, x1, fx = stage
+    c, w = len(x), len(x0)
+    xo, right, yo = buffer
+
+    def rows(buf, n):
+        return buf[: c * n * w].reshape(c, n, w)
+
+    x = _blend(x, x0, x1, fx, 2, rows(xo, last - first), rows(right, last - first))
+    fy = np.repeat(fy[a:b], w).reshape(b - a, w)
+    return _blend(x, y0[a:b] - first, y1[a:b] - first, fy, 1,
+                  rows(yo, b - a), rows(right, b - a))
+
+
+def _blend_windows(plane, corners, cols, rows, weights, flat, out_w):
+    """Write into ``flat`` the labels of the output pixels that a set of
+    windows feeds.  ``corners`` are the windows' four corner indices into
+    the (channels, pixels) ``plane``; ``cols`` and ``rows`` give the first
+    output column and row each window feeds and how many.  Windows that
+    feed as many columns and rows blend together: their corner vectors are
+    gathered once, blended along x for each column and then along y for
+    each row, with ``bilinear_resize``'s float32 operations; one argmax
+    labels every pixel."""
+    (col_first, col_count), (row_first, row_count) = cols, rows
+    ax, fx, ay, fy = weights
+    feeds = col_count * (row_count.max() + 1) + row_count
+    v = np.empty((len(plane), int(np.dot(col_count, row_count))), np.float32)
+    at = np.empty(v.shape[1], np.intp)
+    done = 0
+    for f in np.flatnonzero(np.bincount(feeds)):
+        some = np.flatnonzero(feeds == f)
+        c00, c01, c10, c11 = (plane.take(index[some], axis=1)[:, None] for index in corners)
+        n, nx, ny = len(some), col_count[some[0]], row_count[some[0]]
+        j = col_first[some] + np.arange(nx)[:, None]  # (columns, windows)
+        i = row_first[some] + np.arange(ny)[:, None]  # (rows, windows)
+        upper = c00 * ax[j]
+        upper += c01 * fx[j]
+        lower = c10 * ax[j]
+        lower += c11 * fx[j]
+        blended = v[:, done : done + nx * ny * n].reshape(-1, nx, ny, n)
+        np.multiply(upper[:, :, None], ay[i], out=blended)
+        blended += lower[:, :, None] * fy[i]
+        np.add(j[:, None], i * out_w, out=at[done : done + nx * ny * n].reshape(nx, ny, n))
+        done += nx * ny * n
+    flat[at] = _first_argmax(v, True)
 
 
 def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
@@ -568,23 +690,30 @@ def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
     with ``via=[(h1, w1)]`` the labels are those of
     ``bilinear_resize(bilinear_resize(logits, h1, w1), out_h, out_w)``.
 
-    One channels-last copy of the logits is made; then, for each band of
-    output rows in turn, each size blends along x only the rows of the size
-    before it that the band reads, then along y, and the channel argmax of
-    the band is written into the label map.  A row of an intermediate size
-    that two bands read is blended once for each.
+    For each band of output rows in turn, each size but the last blends,
+    channels first, only the rows of the size before it that the band
+    reads, along x then along y.  The last stage's source rows then settle
+    what they can without blending.  A source pixel settles when one
+    channel leads every other by more than ``_lead_bound``; a window (the
+    up to 2x2 source pixels an output pixel blends) settles when its
+    pixels settle on one channel, and every output pixel it feeds gets
+    that label.  The windows that do not settle are blended by
+    ``_blend_windows``, or, when they feed more than
+    ``_READOUT_DENSE_SHARE`` of the band, the whole band is blended and
+    its channel argmax taken.  The k-th such band in a row makes the next
+    2^k - 1 bands skip the test and be blended whole.  When the logits
+    hold NaN or an infinity nothing settles and every band is blended
+    whole.  A row of an intermediate size that two bands read is blended
+    once for each.
     """
     if logits.n != 1:
         raise ShapeError(f"resize_argmax expects batch size 1, got {logits.n}")
-    sizes = (*via, (out_h, out_w))
-    stages, h, w = [], logits.h, logits.w
-    for oh, ow in sizes:
+    sizes = ((logits.h, logits.w), *via, (out_h, out_w))
+    stages = []
+    for (h, w), (oh, ow) in zip(sizes, sizes[1:]):
         if oh < 1 or ow < 1:
             raise ValueError("output dims must be >= 1")
-        y0, y1, fy = _axis_coords(h, oh)
-        x0, x1, fx = _axis_coords(w, ow)
-        stages.append((y0, y1, fy[:, None, None], x0, x1, fx[:, None]))
-        h, w = oh, ow
+        stages.append((*_axis_coords(h, oh), *_axis_coords(w, ow)))
     # each band's row span at every size, the logits' first
     step = max(1, _READOUT_BAND_PIXELS // out_w)
     bands = []
@@ -596,21 +725,81 @@ def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
         bands.append(spans)
     # Every band blends into the same buffers: with arrays allocated band by
     # band, a long run's heap kept growing (about 0.6 MiB per 512x1024 frame,
-    # glibc on x86-64).
+    # glibc on x86-64).  The last stage's buffers are made when a band is
+    # first blended whole: made up front and never used, they still raised
+    # the peak RSS of a 512x1024 edanet run by about 4 MiB.
+    c = logits.c
     most = [max(b - a for a, b in column) for column in zip(*bands)]
-    buffers = [[np.empty((n, w, logits.c), np.float32) for n in (n_in, n_in, n_out, n_out)]
-               for n_in, n_out, (_, w) in zip(most, most[1:], sizes)]
-    hwc = np.ascontiguousarray(logits.data[0].transpose(1, 2, 0))
-    index = np.empty((most[-1], out_w), np.intp)
+    buffers = [[np.empty(c * n * w, np.float32) for n in (n_in, max(n_in, n_out), n_out)]
+               for n_in, n_out, (_, w) in zip(most, most[1:-1], sizes[1:])]
+    whole = None
+    # A source pixel settles when exactly one channel reaches its top value
+    # less the lead bound.  Channel k adds 1 + (k << shift) to the pixel's
+    # code: the low bits count those channels and, for a count of 1, the
+    # high bits name the channel.
+    y0, y1, fy, x0, x1, fx = stages[-1]
+    ax, ay = np.float32(1.0) - fx, np.float32(1.0) - fy
+    src_w = sizes[-2][1]
+    win_x, col_first, col_count = _runs(x0)
+    lead = _lead_bound(logits.data)
+    shift = c.bit_length()
+    kind = np.min_scalar_type(((c - 1) << shift) + c)
+    codes = (np.arange(c, dtype=kind) << shift) + kind.type(1)
+    unsettled = kind.type(c)  # the label of a pixel or window that does not settle
+    top = np.empty((most[-2], src_w), np.float32)
+    near = np.empty((c, most[-2], src_w), bool)
+    code = np.empty((most[-2], src_w), kind)
+    count = np.empty((most[-2], src_w), kind)
+    differs = np.empty((most[-2], src_w), bool)
     labels = np.empty((out_h, out_w), np.int32)
+    skip = wait = 0  # bands left to blend whole without the settle test
     for spans in bands:
-        x = hwc[spans[0][0] : spans[0][1]]
-        for stage, (xo, xr, yo, yr), (first, last), (a, b) in zip(
-                stages, buffers, spans, spans[1:]):
-            y0, y1, fy, x0, x1, fx = stage
-            x = _blend(x, x0, x1, fx, 1, xo[: last - first], xr[: last - first])
-            x = _blend(x, y0[a:b] - first, y1[a:b] - first, fy[a:b], 0,
-                       yo[: b - a], yr[: b - a])
-        r0, r1 = spans[-1]
-        labels[r0:r1] = np.argmax(x, axis=-1, out=index[: r1 - r0])
+        x = logits.data[0, :, spans[0][0] : spans[0][1]]
+        # x's rows as a (channels, pixels) plane whose first row is row0
+        plane, row0 = logits.data[0].reshape(c, -1), 0
+        for stage, buffer, rows_in, rows_out in zip(stages[:-1], buffers, spans, spans[1:]):
+            x = _blend_rows(x, stage, buffer, rows_in, rows_out)
+            plane, row0 = x.reshape(c, -1), rows_out[0]
+        (first, last), (a, b) = spans[-2], spans[-1]
+        band = labels[a:b]
+        if wait:
+            wait -= 1
+        elif lead is not None:
+            n = last - first
+            pixel = code[:n]
+            np.max(x, axis=0, out=top[:n])
+            top[:n] -= lead
+            np.greater_equal(x, top[:n], out=near[:, :n])
+            np.einsum("c,cij->ij", codes, near[:, :n].view(np.uint8), out=pixel)
+            np.bitwise_and(pixel, kind.type((1 << shift) - 1), out=count[:n])
+            np.right_shift(pixel, shift, out=pixel)
+            np.not_equal(count[:n], 1, out=differs[:n])
+            np.copyto(pixel, unsettled, where=differs[:n])
+            # a window settles when its pixels agree: along x, then along y
+            np.not_equal(pixel[:, :-1], pixel[:, 1:], out=differs[:n, :-1])
+            np.copyto(pixel[:, :-1], unsettled, where=differs[:n, :-1])
+            win_y, row_first, row_count = _runs(y0[a:b])
+            win_y1 = y1[a + row_first]
+            windows = pixel[win_y - first]
+            np.copyto(windows, unsettled, where=windows != pixel[win_y1 - first])
+            pending = windows[:, win_x] == unsettled
+            if np.dot(row_count, pending.dot(col_count)) <= _READOUT_DENSE_SHARE * band.size:
+                skip = 0
+                band[...] = windows.take(np.repeat(np.arange(len(win_y)), row_count),
+                                         axis=0)[:, x0]
+                wy, wx = np.nonzero(pending)
+                if len(wy):
+                    r0, r1 = (win_y[wy] - row0) * src_w, (win_y1[wy] - row0) * src_w
+                    c0, c1 = win_x[wx], x1[col_first[wx]]
+                    _blend_windows(plane, (r0 + c0, r0 + c1, r1 + c0, r1 + c1),
+                                   (col_first[wx], col_count[wx]),
+                                   (row_first[wy], row_count[wy]),
+                                   (ax, fx, ay[a:b], fy[a:b]),
+                                   band.reshape(-1), out_w)
+                continue
+            skip = wait = 2 * skip + 1
+        whole = whole or [np.empty(c * n * out_w, np.float32)
+                          for n in (most[-2], max(most[-2:]), most[-1])]
+        x = _blend_rows(x, stages[-1], whole, spans[-2], spans[-1])
+        band[...] = _first_argmax(x.reshape(c, -1), lead is not None).reshape(band.shape)
     return labels

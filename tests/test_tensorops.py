@@ -773,6 +773,139 @@ class TestChainedReadout:
         assert peak < 19 * 512 * 1024 * 4 / 2
 
 
+def near_tie_logits(seed, h, w, ulps, scale=1.0):
+    """Blocky logits whose channel 0 leads by a wide margin, except on
+    the image border, on every third row and column (the edges of many
+    windows) and at a few random pixels: there channel 1 sits 0 to
+    ``ulps`` units in the last place above or below channel 0."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1.0, 0.0, (1, 4, h, w)).astype(np.float32)
+    data[0, 0] = rng.uniform(1.0, 2.0, (h, w))
+    tie = rng.random((h, w)) < 0.1
+    tie[[0, -1]] = tie[:, [0, -1]] = True
+    tie[::3] = tie[:, ::3] = True
+    steps = rng.integers(-ulps, ulps + 1, (h, w)).astype(np.int32)
+    data[0, 1][tie] = (data[0, 0].view(np.int32) + steps).view(np.float32)[tie]
+    return Tensor(data * np.float32(scale))
+
+
+def blended_pixels(monkeypatch):
+    """Count the output pixels the readout blends: it takes the channel
+    argmax of exactly those."""
+    count = []
+    first_argmax = tensorops._first_argmax
+
+    def spy(v, finite):
+        count.append(v.shape[1])
+        return first_argmax(v, finite)
+
+    monkeypatch.setattr(tensorops, "_first_argmax", spy)
+    return count
+
+
+class TestSettledReadout:
+    """``resize_argmax`` labels a window without blending when one channel
+    leads at all its source pixels by more than a bound on the rounding of
+    the last two blends; the labels stay those of the nested resizes bit
+    for bit, however close the lead."""
+
+    CHAINS = {
+        "x2": ((12, 15), [(24, 30)]),
+        "x8_then_x2": ((6, 5), [(48, 40), (96, 80)]),
+        "x3_odd": ((7, 9), [(20, 26)]),
+        "one_row": ((1, 12), [(2, 24)]),
+        "one_column": ((12, 1), [(24, 2)]),
+        "down_then_up": ((13, 11), [(6, 5), (17, 14)]),
+    }
+
+    @pytest.mark.parametrize("ulps", [0, 1, 3])
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_near_ties_give_the_nested_labels(self, chain, ulps):
+        in_hw, sizes = self.CHAINS[chain]
+        x = near_tie_logits(41, *in_hw, ulps)
+        got = resize_argmax(x, *sizes[-1], sizes[:-1])
+        assert np.array_equal(got, nested_labels(x, sizes))
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_one_pixel_bands_give_the_nested_labels(self, chain, monkeypatch):
+        in_hw, sizes = self.CHAINS[chain]
+        x = near_tie_logits(42, *in_hw, 2)
+        monkeypatch.setattr(tensorops, "_READOUT_BAND_PIXELS", 1)
+        got = resize_argmax(x, *sizes[-1], sizes[:-1])
+        assert np.array_equal(got, nested_labels(x, sizes))
+
+    def test_a_lead_of_two_ulps_can_lose_the_blend(self):
+        """Channel 1 leads by one or two ulps at every pixel, yet the x2
+        blends round one output pixel to a tie, which channel 0 wins: a
+        lead must beat a bound relative to the logits' magnitude."""
+        base = np.array([[1.8574042, 1.0335855], [1.7296555, 1.1756556]], np.float32)
+        ahead = (base.view(np.int32) + np.array([[1, 2], [1, 2]], np.int32)).view(np.float32)
+        x = Tensor(np.stack([base, ahead])[None])
+        want = nested_labels(x, [(4, 4)])
+        assert want[2, 0] == 0 and np.count_nonzero(want == 1) == 15
+        assert np.array_equal(resize_argmax(x, 4, 4), want)
+
+    def test_a_subnormal_lead_can_lose_the_blend(self):
+        """Subnormal products round to whole multiples of 2^-149, so a lead
+        of one such step, however large against the logits' magnitude, can
+        end in a tie: the bound needs an absolute term."""
+        x = Tensor(np.array([[[[0, 2]], [[1, 3]]]], np.float32) * np.float32(2.0**-149))
+        want = nested_labels(x, [(2, 4)])
+        assert np.array_equal(want, [[1, 1, 0, 1], [1, 1, 0, 1]])
+        assert np.array_equal(resize_argmax(x, 2, 4), want)
+
+    @pytest.mark.parametrize("scale", [0.875, 1.125])
+    def test_leads_just_below_and_just_above_the_bound(self, scale, monkeypatch):
+        """Channel 1 leads channel 0 by 7/8 or 9/8 of the bound everywhere:
+        below it every pixel is blended, above it none is."""
+        rng = np.random.default_rng(43)
+        data = np.full((1, 3, 10, 12), -1.0, np.float32)
+        data[0, :2] = rng.uniform(1.0, 2.0, (10, 12))
+        data[0, 1] += np.float32(scale) * tensorops._lead_bound(data)
+        x = Tensor(data)
+        count = blended_pixels(monkeypatch)
+        got = resize_argmax(x, 20, 24)
+        assert np.array_equal(got, nested_labels(x, [(20, 24)]))
+        assert np.all(got == 1)
+        assert sum(count) == (20 * 24 if scale < 1 else 0)
+
+    @pytest.mark.parametrize("scale", [2.0**-120, 2.0**-140, 2.0**-149])
+    def test_tiny_and_subnormal_logits(self, scale):
+        x = near_tie_logits(44, 9, 11, 3, scale)
+        assert x.data[0, 0].max() * 2 ** 20 < 1.0
+        for sizes in ([(18, 22)], [(72, 88), (144, 176)]):
+            got = resize_argmax(x, *sizes[-1], sizes[:-1])
+            assert np.array_equal(got, nested_labels(x, sizes))
+
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_a_non_finite_logit_blends_every_pixel(self, planted, monkeypatch):
+        """One NaN or infinity anywhere and nothing settles: every pixel is
+        blended, so NaN reaches the labels as in the nested resizes."""
+        data = near_tie_logits(45, 6, 5, 1).data.copy()
+        data[0, 2, 3, 2] = planted
+        x = Tensor(data)
+        count = blended_pixels(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            got = resize_argmax(x, 96, 80, [(48, 40)])
+            want = nested_labels(x, [(48, 40), (96, 80)])
+        assert np.array_equal(got, want)
+        assert sum(count) == 96 * 80
+
+    def test_well_separated_logits_settle_most_windows(self, monkeypatch):
+        """Logits whose top channel leads by at least 1 in 8x8 blocks: read
+        out x8 then x2, only windows that straddle a block edge at the x8
+        level are blended, under a tenth of the pixels."""
+        rng = np.random.default_rng(46)
+        blocks = rng.integers(0, 19, (4, 8))
+        data = rng.uniform(0.0, 1.0, (1, 19, 32, 64)).astype(np.float32)
+        np.put_along_axis(data[0], np.kron(blocks, np.ones((8, 8), int))[None], 3.0, axis=0)
+        x = Tensor(data)
+        count = blended_pixels(monkeypatch)
+        got = resize_argmax(x, 512, 1024, [(256, 512)])
+        assert np.array_equal(got, nested_labels(x, [(256, 512), (512, 1024)]))
+        assert 0 < sum(count) < 512 * 1024 / 10
+
+
 class TestArgmax:
     def test_dominant_channel(self):
         x = Tensor(np.stack([np.full((3, 3), 0.1, np.float32),
