@@ -226,8 +226,9 @@ def _check_readout(rng: np.random.Generator) -> str | None:
     another by 0, 1 or a few ulps (including two leads that blending
     rounds to a tie, one of them subnormal), or by just more or just less
     than the lead under which a window is blended rather than settled; on
-    subnormal logits; and on noise read out x8 alone, where most windows
-    are blended."""
+    subnormal logits; on noise read out x8 alone, where most windows are
+    blended; and on blocky logits read out x8 then x2 in two bands, where
+    the windows on block edges are blended."""
     cases = []
     for in_hw, sizes, planted in (((7, 9), [(13, 31)], np.nan), ((9, 10), [(4, 3)], np.nan),
                                   ((3, 4), [(24, 32), (48, 64)], np.inf),
@@ -253,6 +254,10 @@ def _check_readout(rng: np.random.Generator) -> str | None:
     tiny = rng.integers(0, 4, (1, 3, 5, 6)).astype(np.float32) * step
     cases += [(tiny, [(10, 12)]), (tiny, [(10, 12), (20, 24)]),
               (rng.standard_normal((1, 5, 6, 7)).astype(np.float32), [(48, 56)])]
+    blocky = rng.uniform(0, 1, (1, 19, 16, 16)).astype(np.float32)
+    top = np.kron(rng.integers(0, 19, (4, 4)), np.ones((4, 4), int))[None]
+    np.put_along_axis(blocky[0], top, np.float32(3), axis=0)
+    cases.append((blocky, [(128, 128), (256, 256)]))
     for data, sizes in cases:
         x = Tensor(data)
         with np.errstate(invalid="ignore"):

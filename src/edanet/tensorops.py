@@ -17,11 +17,11 @@ size but the last blends, channels first, along x only the rows of the size
 before it that the band reads, then along y.  The last stage labels without
 blending every output pixel whose 2x2 source window agrees on a channel that
 leads every other channel, at all four pixels, by more than a bound on the
-float32 rounding of the last two blends (2^-18 max|logits| + 2^-144).  Only
-the other pixels are blended, with the same float32 operations as
-``bilinear_resize``, and their channel argmax taken, so the labels equal
-``argmax_channels`` of the nested resizes bit for bit; no resized logits are
-ever held in full.
+float32 rounding of the last two blends (2^-18 max|logits| + 2^-144).  Each
+other pixel is blended from its four source values with the same float32
+operations as ``bilinear_resize``, and its channel argmax taken, so the labels
+equal ``argmax_channels`` of the nested resizes bit for bit; no resized logits
+are ever held in full.
 """
 
 from __future__ import annotations
@@ -565,13 +565,13 @@ def argmax_channels(input: Tensor) -> LabelMap:
 # whatever the band size, so the band size changes only speed and memory.
 _READOUT_BAND_PIXELS = 32768
 
-# A band whose unsettled windows feed more than this share of its output
-# pixels is blended whole instead of window by window.  On folded edanet's
-# logits of the bench pool images (2-core Xeon VM), blending window by window
-# cost 15 + 213 s ns per band pixel at share s for the x2 stage of x8 then x2,
-# against 90 ns for the whole band, and 26 + 81 s against 53 ns at x8 alone:
-# the costs cross at s = 0.35 and 0.33.  The share is set below that: the
-# arrays of the window-by-window path grow with it.
+# A band whose unsettled output pixels are more than this share of it is
+# blended whole instead of pixel by pixel.  On folded edanet's logits of the
+# bench pool images (2-core Xeon VM, three runs), the per-pixel path, settle
+# test included, cost 13-22 + 139-142 s ns per band pixel at share s for the
+# x2 stage of x8 then x2, against 69-87 ns for the test and the whole band,
+# and 2-5 + 182-222 s against 41-57 ns at x8 alone: the costs cross at
+# s = 0.37-0.53 and 0.21-0.24, and the share sits between the two.
 _READOUT_DENSE_SHARE = 0.25
 
 # _first_argmax compares channel rows one by one from this many pixels on;
@@ -606,13 +606,6 @@ def _lead_bound(x: np.ndarray):
     if not (hi < 2.0 ** 100 and -lo < 2.0 ** 100):  # also NaN
         return None
     return np.float32(max(hi, -lo) * 2.0 ** -18 + 2.0 ** -144)
-
-
-def _runs(lo: np.ndarray):
-    """The runs of equal values in the monotone source indices ``lo``:
-    each run's value, its first index and its length."""
-    starts = np.flatnonzero(np.r_[True, lo[1:] != lo[:-1]])
-    return lo[starts], starts, np.diff(np.r_[starts, len(lo)])
 
 
 def _first_argmax(v: np.ndarray, finite: bool) -> np.ndarray:
@@ -650,39 +643,6 @@ def _blend_rows(x, stage, buffer, rows_in, rows_out):
                   rows(yo, b - a), rows(right, b - a))
 
 
-def _blend_windows(plane, corners, cols, rows, weights, flat, out_w):
-    """Write into ``flat`` the labels of the output pixels that a set of
-    windows feeds.  ``corners`` are the windows' four corner indices into
-    the (channels, pixels) ``plane``; ``cols`` and ``rows`` give the first
-    output column and row each window feeds and how many.  Windows that
-    feed as many columns and rows blend together: their corner vectors are
-    gathered once, blended along x for each column and then along y for
-    each row, with ``bilinear_resize``'s float32 operations; one argmax
-    labels every pixel."""
-    (col_first, col_count), (row_first, row_count) = cols, rows
-    ax, fx, ay, fy = weights
-    feeds = col_count * (row_count.max() + 1) + row_count
-    v = np.empty((len(plane), int(np.dot(col_count, row_count))), np.float32)
-    at = np.empty(v.shape[1], np.intp)
-    done = 0
-    for f in np.flatnonzero(np.bincount(feeds)):
-        some = np.flatnonzero(feeds == f)
-        c00, c01, c10, c11 = (plane.take(index[some], axis=1)[:, None] for index in corners)
-        n, nx, ny = len(some), col_count[some[0]], row_count[some[0]]
-        j = col_first[some] + np.arange(nx)[:, None]  # (columns, windows)
-        i = row_first[some] + np.arange(ny)[:, None]  # (rows, windows)
-        upper = c00 * ax[j]
-        upper += c01 * fx[j]
-        lower = c10 * ax[j]
-        lower += c11 * fx[j]
-        blended = v[:, done : done + nx * ny * n].reshape(-1, nx, ny, n)
-        np.multiply(upper[:, :, None], ay[i], out=blended)
-        blended += lower[:, :, None] * fy[i]
-        np.add(j[:, None], i * out_w, out=at[done : done + nx * ny * n].reshape(nx, ny, n))
-        done += nx * ny * n
-    flat[at] = _first_argmax(v, True)
-
-
 def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
     """The label map ``argmax_channels(bilinear_resize(logits, out_h,
     out_w))``, bit for bit, without building the resized logits.  ``via``
@@ -697,14 +657,13 @@ def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
     channel leads every other by more than ``_lead_bound``; a window (the
     up to 2x2 source pixels an output pixel blends) settles when its
     pixels settle on one channel, and every output pixel it feeds gets
-    that label.  The windows that do not settle are blended by
-    ``_blend_windows``, or, when they feed more than
-    ``_READOUT_DENSE_SHARE`` of the band, the whole band is blended and
-    its channel argmax taken.  The k-th such band in a row makes the next
-    2^k - 1 bands skip the test and be blended whole.  When the logits
-    hold NaN or an infinity nothing settles and every band is blended
-    whole.  A row of an intermediate size that two bands read is blended
-    once for each.
+    that label.  Each other output pixel is blended from its four source
+    values, or, when such pixels are more than ``_READOUT_DENSE_SHARE`` of
+    the band, the whole band is blended; then the channel argmax is taken.
+    The k-th such band in a row makes the next 2^k - 1 bands skip the test
+    and be blended whole.  When the logits hold NaN or an infinity nothing
+    settles and every band is blended whole.  A row of an intermediate size
+    that two bands read is blended once for each.
     """
     if logits.n != 1:
         raise ShapeError(f"resize_argmax expects batch size 1, got {logits.n}")
@@ -738,9 +697,7 @@ def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
     # code: the low bits count those channels and, for a count of 1, the
     # high bits name the channel.
     y0, y1, fy, x0, x1, fx = stages[-1]
-    ax, ay = np.float32(1.0) - fx, np.float32(1.0) - fy
     src_w = sizes[-2][1]
-    win_x, col_first, col_count = _runs(x0)
     lead = _lead_bound(logits.data)
     shift = c.bit_length()
     kind = np.min_scalar_type(((c - 1) << shift) + c)
@@ -755,11 +712,8 @@ def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
     skip = wait = 0  # bands left to blend whole without the settle test
     for spans in bands:
         x = logits.data[0, :, spans[0][0] : spans[0][1]]
-        # x's rows as a (channels, pixels) plane whose first row is row0
-        plane, row0 = logits.data[0].reshape(c, -1), 0
         for stage, buffer, rows_in, rows_out in zip(stages[:-1], buffers, spans, spans[1:]):
             x = _blend_rows(x, stage, buffer, rows_in, rows_out)
-            plane, row0 = x.reshape(c, -1), rows_out[0]
         (first, last), (a, b) = spans[-2], spans[-1]
         band = labels[a:b]
         if wait:
@@ -775,27 +729,26 @@ def resize_argmax(logits: Tensor, out_h: int, out_w: int, via=()) -> LabelMap:
             np.right_shift(pixel, shift, out=pixel)
             np.not_equal(count[:n], 1, out=differs[:n])
             np.copyto(pixel, unsettled, where=differs[:n])
-            # a window settles when its pixels agree: along x, then along y
+            # A window settles when its pixels agree.  Its second source index
+            # is the first plus one, clamped at the edge, so each pixel's code
+            # becomes its window's: along x, then along y.
             np.not_equal(pixel[:, :-1], pixel[:, 1:], out=differs[:n, :-1])
             np.copyto(pixel[:, :-1], unsettled, where=differs[:n, :-1])
-            win_y, row_first, row_count = _runs(y0[a:b])
-            win_y1 = y1[a + row_first]
-            windows = pixel[win_y - first]
-            np.copyto(windows, unsettled, where=windows != pixel[win_y1 - first])
-            pending = windows[:, win_x] == unsettled
-            if np.dot(row_count, pending.dot(col_count)) <= _READOUT_DENSE_SHARE * band.size:
-                skip = 0
-                band[...] = windows.take(np.repeat(np.arange(len(win_y)), row_count),
-                                         axis=0)[:, x0]
-                wy, wx = np.nonzero(pending)
-                if len(wy):
-                    r0, r1 = (win_y[wy] - row0) * src_w, (win_y1[wy] - row0) * src_w
-                    c0, c1 = win_x[wx], x1[col_first[wx]]
-                    _blend_windows(plane, (r0 + c0, r0 + c1, r1 + c0, r1 + c1),
-                                   (col_first[wx], col_count[wx]),
-                                   (row_first[wy], row_count[wy]),
-                                   (ax, fx, ay[a:b], fy[a:b]),
-                                   band.reshape(-1), out_w)
+            np.not_equal(pixel[:-1], pixel[1:], out=differs[: n - 1])
+            np.copyto(pixel[:-1], unsettled, where=differs[: n - 1])
+            band[...] = pixel[y0[a:b] - first][:, x0]
+            blend = band == unsettled
+            if np.count_nonzero(blend) <= _READOUT_DENSE_SHARE * band.size:
+                # blend each unsettled pixel from its four source values, the
+                # source rows as a (channels, pixels) plane
+                wy, wx = np.nonzero(blend)
+                skip, i, plane = 0, a + wy, x.reshape(c, -1)
+                upper, lower = (_blend(plane, r + x0[wx], r + x1[wx], fx[wx], 1)
+                                for r in ((y0[i] - first) * src_w, (y1[i] - first) * src_w))
+                upper *= np.float32(1.0) - fy[i]
+                lower *= fy[i]
+                upper += lower
+                band[wy, wx] = _first_argmax(upper, True)
                 continue
             skip = wait = 2 * skip + 1
         whole = whole or [np.empty(c * n * out_w, np.float32)

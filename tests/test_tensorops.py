@@ -892,18 +892,32 @@ class TestSettledReadout:
         assert sum(count) == 96 * 80
 
     def test_well_separated_logits_settle_most_windows(self, monkeypatch):
-        """Logits whose top channel leads by at least 1 in 8x8 blocks: read
-        out x8 then x2, only windows that straddle a block edge at the x8
-        level are blended, under a tenth of the pixels."""
+        """Logits whose top channel leads by at least 1 in 8x8 blocks, read
+        out x8 then x2: exactly the output pixels whose four corners at the
+        x8 level do not settle on one channel are blended, under a tenth of
+        the pixels, with the default bands and with 8-row bands, whose
+        edges the window test meets more often."""
         rng = np.random.default_rng(46)
         blocks = rng.integers(0, 19, (4, 8))
         data = rng.uniform(0.0, 1.0, (1, 19, 32, 64)).astype(np.float32)
         np.put_along_axis(data[0], np.kron(blocks, np.ones((8, 8), int))[None], 3.0, axis=0)
         x = Tensor(data)
-        count = blended_pixels(monkeypatch)
-        got = resize_argmax(x, 512, 1024, [(256, 512)])
-        assert np.array_equal(got, nested_labels(x, [(256, 512), (512, 1024)]))
-        assert 0 < sum(count) < 512 * 1024 / 10
+        # a pixel settles when exactly one channel is within the bound of its top
+        mid = bilinear_resize(x, 256, 512).data[0]
+        near = mid >= mid.max(axis=0) - tensorops._lead_bound(x.data)
+        label = np.where(near.sum(axis=0) == 1, near.argmax(axis=0), -1)
+        y0, y1, _ = tensorops._axis_coords(256, 512)
+        x0, x1, _ = tensorops._axis_coords(512, 1024)
+        corners = [label[ys][:, xs] for ys in (y0, y1) for xs in (x0, x1)]
+        settled = np.all([c == corners[0] for c in corners], axis=0) & (corners[0] >= 0)
+        want = 512 * 1024 - np.count_nonzero(settled)
+        assert 0 < want < 512 * 1024 / 10
+        nested = nested_labels(x, [(256, 512), (512, 1024)])
+        for band_pixels in (tensorops._READOUT_BAND_PIXELS, 8 * 1024):
+            monkeypatch.setattr(tensorops, "_READOUT_BAND_PIXELS", band_pixels)
+            count = blended_pixels(monkeypatch)
+            assert np.array_equal(resize_argmax(x, 512, 1024, [(256, 512)]), nested)
+            assert sum(count) == want
 
 
 class TestArgmax:
