@@ -8,6 +8,7 @@ and flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -52,7 +53,10 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves
+    it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="edanet",
         description="Build, analyze, and run EDANet-family segmentation networks.",
@@ -68,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upscale", type=int, default=2,
                    help="inference-only bilinear factor (default 2)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("analyze", help="static shape/params/multiply-add report")
     p.add_argument("--net", required=True)
@@ -76,13 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="HxW")
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("init", help="write deterministic seeded weights (.edaw)")
     p.add_argument("--net", required=True)
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_init)
 
     p = sub.add_parser("infer", help="segment one PPM image")
     p.add_argument("--net", required=True)
@@ -96,17 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fold BN into convolutions once, before the first run")
     p.add_argument("--bench", type=_int_at_least(0), default=0, metavar="N",
                    help="report mean wall-clock over N extra runs (folding excluded)")
-    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("fold", help="persist a BN-folded network + weights")
     p.add_argument("--net", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out-net", required=True)
     p.add_argument("--out-weights", required=True)
-    p.set_defaults(func=cmd_fold)
 
-    p = sub.add_parser("selftest", help="run built-in consistency checks")
-    p.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run built-in consistency checks")
     return parser
 
 
@@ -360,7 +358,9 @@ def main(argv=None) -> int:
     try:
         if args.threads is not None:
             tensorops.set_num_threads(args.threads)
-        return args.func(args)
+        # looked up per call, not bound into the shared parser, so a
+        # command wrapped or patched after the first call is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:
         print(f"edanet: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -168,20 +168,44 @@ def fnv1a64(data: str | bytes) -> int:
     return h
 
 
+# Values per step of the init draw: each step works in place in three
+# buffers of this length, so a tensor's draw costs its float32 output plus
+# about 1.5 MiB, whatever its size.
+_DRAW_CHUNK = 65536
+
+
 def _draw_uniform(tensor_name: str, seed: int, shape: tuple, bound: float) -> np.ndarray:
     """splitmix64 stream seeded per tensor; each draw's top 24 bits map
-    linearly onto [-bound, bound]."""
-    state0 = np.uint64((seed ^ fnv1a64(tensor_name)) & _MASK64)
-    n = int(np.prod(shape))
-    with np.errstate(over="ignore"):
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = state0 + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    top24 = (z >> np.uint64(40)).astype(np.float64)
-    vals = (top24 * (2.0 / (2**24 - 1)) - 1.0) * bound
-    return vals.astype(np.float32).reshape(shape)
+    linearly onto [-bound, bound].
+
+    The output's final ``z ^ (z >> 31)`` is skipped: ``z >> 31`` has 33
+    significant bits, so it cannot change the top 24."""
+    state0 = (seed ^ fnv1a64(tensor_name)) & _MASK64
+    out = np.empty(shape, np.float32)
+    flat = out.reshape(-1)
+    n = flat.size
+    chunk = min(n, _DRAW_CHUNK)
+    steps = np.arange(1, chunk + 1, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
+    z = np.empty(chunk, np.uint64)
+    vals = np.empty(chunk, np.float64)
+    shifted = vals.view(np.uint64)  # the shift's scratch, until vals is filled
+    for lo in range(0, n, _DRAW_CHUNK):
+        k = min(chunk, n - lo)
+        zk, sk, vk = z[:k], shifted[:k], vals[:k]
+        np.add(steps[:k], np.uint64((state0 + lo * _GOLDEN) & _MASK64), out=zk)
+        np.right_shift(zk, np.uint64(30), out=sk)
+        zk ^= sk
+        zk *= np.uint64(0xBF58476D1CE4E5B9)
+        np.right_shift(zk, np.uint64(27), out=sk)
+        zk ^= sk
+        zk *= np.uint64(0x94D049BB133111EB)
+        zk >>= np.uint64(40)
+        np.multiply(zk, 2.0 / (2**24 - 1), out=vk)
+        vk -= 1.0
+        vk *= bound
+        flat[lo : lo + k] = vk
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -409,19 +433,23 @@ def infer_image(net: NetworkSpec, weights: WeightStore, image: Tensor) -> LabelM
 
 def save_weights(store: WeightStore, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(serialize_weights(store))
+        fh.writelines(_records(store))
 
 
 def serialize_weights(store: WeightStore) -> bytes:
-    out = [_MAGIC, struct.pack("<III", _VERSION, len(store), 0)]
+    return b"".join(_records(store))
+
+
+def _records(store: WeightStore):
+    """The file's parts in order: the header, then each tensor's record
+    header and a view of its little-endian float32 payload, so no part
+    copies a tensor."""
+    yield struct.pack("<4sIII", _MAGIC, _VERSION, len(store), 0)
     for name, arr in store.items():
         encoded = name.encode("utf-8")
-        out.append(struct.pack("<H", len(encoded)))
-        out.append(encoded)
-        out.append(struct.pack("<BB", 0, arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(arr.astype("<f4", copy=False).tobytes())
-    return b"".join(out)
+        yield struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I",
+                          len(encoded), encoded, 0, arr.ndim, *arr.shape)
+        yield arr.astype("<f4", copy=False).reshape(-1).data.cast("B")
 
 
 def load_weights(path) -> WeightStore:

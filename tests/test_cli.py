@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import edanet
-from edanet import netdef, runtime, tensorops
+from edanet import cli, netdef, runtime, tensorops
 from edanet.cli import main
 from edanet.imageio import read_pgm, read_ppm, write_ppm
 from edanet.tensorops import Tensor
@@ -290,6 +290,30 @@ class TestExitCodes:
                    "--out", seg, "--palette", workdir / "absent.txt") == 2
         assert "--palette needs --color" in capsys.readouterr().err
         assert not seg.exists()
+
+    def test_usage_error_leaves_the_next_command_unchanged(self, workdir, capsys):
+        """One parser serves every call in a process: a refused command
+        must not change what a valid one after it does."""
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        run("build", "--variant", "shallow", "--out", net)
+        run("init", "--net", net, "--seed", "3", "--out", w)
+        first, after = workdir / "first.pgm", workdir / "after.pgm"
+        infer = ("infer", "--net", net, "--weights", w, "--image", workdir / "in.ppm")
+        assert run(*infer, "--out", first) == 0
+        assert run(*infer, "--out", workdir / "seg.pgm",
+                   "--palette", workdir / "p.txt") == 2
+        assert run(*infer, "--out", after) == 0
+        assert after.read_bytes() == first.read_bytes()
+
+    def test_commands_are_looked_up_per_call(self, workdir, monkeypatch):
+        """The shared parser holds no command function: one wrapped after
+        the first call, as a tracer wraps it, is the one that runs."""
+        net = workdir / "net.nspec"
+        assert run("build", "--variant", "shallow", "--out", net) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_build", lambda args: calls.append(args.variant) or 0)
+        assert run("build", "--variant", "edanet", "--out", net) == 0
+        assert calls == ["edanet"]
 
     @pytest.mark.parametrize("name, value", [
         ("orphan.w", np.zeros(3)),
