@@ -308,25 +308,27 @@ def _bind(net: NetworkSpec, store: WeightStore) -> dict:
     return bound
 
 
-def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False) -> Tensor:
+def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
+          out: np.ndarray | None = None) -> Tensor:
     """Run ``node`` on ``x`` with the tensors ``_bind`` checked; in a chain, a
     convolution directly followed by a ReLU runs as one
-    ``conv2d(..., relu=True)``."""
+    ``conv2d(..., relu=True)``.  With ``out``, a channel slice of a buffer
+    starting at the result's first channel, a chain whose result a
+    convolution computes last (only dropout follows it) writes it there."""
     if isinstance(node, Chain):
-        fused = False
-        for step, after in zip(node.steps, node.steps[1:] + (None,)):
+        steps, fused = node.steps, False
+        end = len(steps)  # past the last step that changes the result
+        while out is not None and end and isinstance(steps[end - 1], DropoutStep):
+            end -= 1
+        for k, (step, after) in enumerate(zip(steps, steps[1:] + (None,))):
             if not fused:
                 fused = isinstance(step, ConvStep) and isinstance(after, ReluStep)
-                x = _eval(step, x, bound, fused)
+                x = _eval(step, x, bound, fused, out if k + 1 + fused == end else None)
             else:  # the ReLU ran inside the convolution before it
                 fused = False
         return x
     if isinstance(node, Parallel):
-        out = None
-        for branch in node.branches:
-            y = _eval(branch, x, bound)
-            out = y if out is None else concat_channels(out, y)
-        return out
+        return concat_channels(*(_eval(branch, x, bound) for branch in node.branches))
     if isinstance(node, Residual):
         return add(x, _eval(node.body, x, bound))
     if isinstance(node, ImagePool):
@@ -335,7 +337,7 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False) -> Tensor:
     if isinstance(node, ConvStep):
         return conv2d(x, Kernel(*bound[node.name]), stride=node.stride,
                       dilation=node.dilation, pad_h=node.pad_h, pad_w=node.pad_w,
-                      relu=fuse_relu)
+                      relu=fuse_relu, out=None if out is None else out[:, : node.out_ch])
     if isinstance(node, DeconvStep):
         return transposed_conv2d(x, Kernel(*bound[node.name]), stride=node.stride)
     if isinstance(node, BnStep):
@@ -361,7 +363,9 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     (each stored tensor must be consumed).  A run of dense layers (a ``Parallel``
     whose first branch is the identity) grows in one buffer at the run's
     final width: each layer writes its new channels after the filled
-    prefix it reads."""
+    prefix it reads.  A branch that ends in a convolution (with its fused
+    ReLU) writes them in place through ``conv2d(out=)``; any other branch's
+    result is copied in."""
     report = analyze(net, input.shape[1:])
     bound = _bind(net, weights)
     dense = [isinstance(node, Parallel) and node.branches[0] == Chain([])
@@ -378,9 +382,11 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
             stage[:, : x.c] = x.data
         c = x.c
         for branch in node.branches[1:]:
-            y = _eval(branch, x, bound)
-            stage[:, c : c + y.c] = y.data
+            y = _eval(branch, x, bound, out=stage[:, c:])
+            if not np.may_share_memory(y.data, stage):
+                stage[:, c : c + y.c] = y.data
             c += y.c
+        del y  # no growth outlives its layer
         x = Tensor(stage[:, :c])
     return x
 

@@ -5,9 +5,14 @@ function: inputs are never mutated and repeated evaluation is bit-identical.
 Convolutions accumulate in float32 in a fixed order: row bands of the
 output in turn, kernel taps in row-major order and, within a tap, the input
 channels in chunks of 256 in order, each chunk one sgemm.  The first sgemm
-of a band writes it and later ones are added; padding is handled per band
-(a tap's operand holds zeros where it reads outside the image), and the
-bias and an optional ReLU are applied to each finished band.  edanet starts
+of a band writes it and each later one accumulates into it inside sgemm
+(beta = 1, called through numpy's bundled OpenBLAS).  Small bands, other
+BLAS builds and the shapes numpy does not run as sgemm instead compute a
+later product with ``np.matmul`` and add it: the same float32 operations,
+so the same bytes.  Padding is handled per band (a tap's operand holds
+zeros where it reads outside the image), and the bias and an optional ReLU
+are applied to each finished band, which may lie in a caller's buffer
+(``out=``).  edanet starts
 no threads; OpenBLAS runs each sgemm on as many as ``set_num_threads`` or
 ``OPENBLAS_NUM_THREADS`` gives it, and no sgemm shape depends on that count,
 so results are bit-identical for any count on one numpy/OpenBLAS build.  The
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,7 +224,7 @@ class BnParams:
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads
+# BLAS
 
 @functools.cache
 def _openblas():
@@ -231,8 +237,28 @@ def _openblas():
         lib.scipy_openblas_set_num_threads64_.restype = None
         lib.scipy_openblas_get_num_threads64_.argtypes = []
         lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        lib.scipy_cblas_sgemm64_.restype = None
         return lib
     return None
+
+
+class _GemmArgs(threading.local):
+    """The ctypes arguments of ``cblas_sgemm(RowMajor, NoTrans, NoTrans, m,
+    n, k, 1, a, lda, b, ldb, 1, c, ldc)``, which adds the float32 product
+    of the matrices at addresses ``a`` and ``b`` to the one at ``c``.  Made
+    once per thread and refilled for each call, which keeps a call about
+    as cheap as ``np.matmul`` on small matrices."""
+
+    def __init__(self):
+        one, i64, ptr = ctypes.c_float(1.0), ctypes.c_int64, ctypes.c_void_p
+        self.m, self.n, self.k, self.lda, self.ldb, self.ldc = (i64() for _ in range(6))
+        self.a, self.b, self.c = ptr(), ptr(), ptr()
+        self.args = (ctypes.c_int(101), ctypes.c_int(111), ctypes.c_int(111),
+                     self.m, self.n, self.k, one, self.a, self.lda,
+                     self.b, self.ldb, one, self.c, self.ldc)
+
+
+_gemm_args = _GemmArgs()
 
 
 def set_num_threads(n: int) -> None:
@@ -270,6 +296,14 @@ _CHANNEL_CHUNK = 256
 _BAND_PIXELS = 8192
 
 
+# Bands of fewer pixels add each later product after np.matmul instead of
+# accumulating it inside sgemm: there, fetching the buffer addresses for the
+# ctypes calls costs about as much as the adds save (40-channel 3x1 convs on
+# a 2-core Xeon: 10 us slower at 128 pixels, even at 1024, 9 % faster at
+# 2048).  Both give the same bytes.
+_SGEMM_MIN_PIXELS = 2048
+
+
 def _inside(lo: int, hi: int, offset: int, stride: int, size: int) -> tuple:
     """Of the output indices ``lo..hi-1``, those whose source index
     ``index * stride + offset`` lies in ``[0, size)``: their slice relative
@@ -288,6 +322,7 @@ def conv2d(
     pad_h: int = 0,
     pad_w: int = 0,
     relu: bool = False,
+    out: np.ndarray | None = None,
 ) -> Tensor:
     """Cross-correlate ``input`` with ``k`` (zero padding, no kernel flip),
     add the bias and, with ``relu``, clamp at zero.
@@ -297,10 +332,21 @@ def conv2d(
     place, kernel taps in row-major order: a tap's (channels, pixels)
     operand is a view of the input when it reads whole in-image rows, else
     a band-sized copy of its in-image slice with zeros where it reads the
-    padding.  The first tap's sgemm writes the band, later ones are added,
-    then the bias and ReLU are applied to the band: the float32 operations
-    of summing the taps of a zero-padded input into a zeroed output.
-    Dilated kernels are bit-identical to their zero-inserted expansion.
+    padding.  The first tap's sgemm (``np.matmul``) writes the band and
+    each later sgemm accumulates into it (beta = 1).  A later product is
+    instead computed by ``np.matmul`` and added, which rounds the same,
+    with a BLAS other than numpy's bundled OpenBLAS, in bands of fewer than
+    ``_SGEMM_MIN_PIXELS`` pixels, and where ``np.matmul`` would not run
+    sgemm (one output channel, or a band of one pixel).  Then the bias and
+    ReLU are applied to the band: the float32 operations of summing the
+    taps of a zero-padded input into a zeroed output.  Dilated kernels are
+    bit-identical to their zero-inserted expansion.
+
+    ``out``, when given, receives the output: a writeable float32 array of
+    the output's shape whose channels each hold their rows contiguously
+    (any batch and channel strides, such as a channel slice of a larger
+    buffer), not overlapping the input.  Nothing outside it is written,
+    and the returned tensor views it.
     """
     if stride < 1 or dilation < 1:
         raise ValueError("stride and dilation must be >= 1")
@@ -321,17 +367,47 @@ def conv2d(
         )
 
     x, c_in, c_out = input.data, k.in_channels, k.out_channels
+    shape = (input.n, c_out, out_h, out_w)
+    if out is None:
+        out = np.empty(shape, np.float32)
+    else:
+        if (out.dtype != np.float32 or out.shape != shape
+                or out.strides[2:] != (4 * out_w, 4) or not out.flags.writeable):
+            raise ShapeError(
+                f"out must be a writeable float32 array of shape {shape} whose "
+                f"channels hold contiguous rows, got {out.dtype} {out.shape}"
+            )
+        if np.may_share_memory(out, x):
+            raise ValueError("out must not overlap the input")
+        out = out.view()  # the returned tensor freezes its own view
     taps = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1))
-    out = np.empty((input.n, c_out, out_h, out_w), np.float32)
     step = max(1, _BAND_PIXELS // out_w)
-    operand = np.empty(c_in * min(step, out_h) * out_w, np.float32)
-    product = np.empty(c_out * min(step, out_h) * out_w, np.float32)
+    band_pixels = min(step, out_h) * out_w
+    operand = np.empty(c_in * band_pixels, np.float32)
+    # Later products accumulate inside sgemm wherever np.matmul would run
+    # them as sgemm (more than one output channel and, per band, more than
+    # one pixel), in bands of at least _SGEMM_MIN_PIXELS.  The others are
+    # added from ``product``.
+    lib, gemm = _openblas(), None
+    if lib is not None and c_out > 1 and band_pixels >= _SGEMM_MIN_PIXELS:
+        gemm, g = lib.scipy_cblas_sgemm64_, _gemm_args
+        args, n_arg, k_arg, a_arg, b_arg, c_arg = g.args, g.n, g.k, g.a, g.b, g.c
+        g.m.value, g.lda.value, g.ldc.value = c_out, c_in, out.strides[1] // 4
+        x_at, taps_at, operand_at, out_at = (
+            a.ctypes.data for a in (x, taps, operand, out))
+        plane = input.h * input.w
+    product = np.empty(c_out * (band_pixels if gemm is None else 1), np.float32)
     for n in range(input.n):
         for r0 in range(0, out_h, step):
             r1 = min(r0 + step, out_h)
             m = (r1 - r0) * out_w
             band = out[n, :, r0:r1].reshape(c_out, m)
-            prod = product[: c_out * m].reshape(c_out, m)
+            sums = gemm is not None and m > 1
+            if not sums:
+                prod = product[: c_out * m].reshape(c_out, m)
+            else:
+                n_arg.value = m
+                c_arg.value = out_at + n * out.strides[0] + 4 * r0 * out_w
             for i in range(k.kh):
                 rows, src_rows = _inside(r0, r1, i * dilation - pad_h, stride, input.h)
                 for j in range(k.kw):
@@ -339,18 +415,32 @@ def conv2d(
                     cols, src_cols = _inside(0, out_w, dx, stride, input.w)
                     if (stride, dx, out_w) == (1, 0, input.w) and rows == slice(0, r1 - r0):
                         x_tap = x[n, :, src_rows].reshape(c_in, m)
+                        if sums:
+                            b_at = x_at + 4 * (n * c_in * plane + src_rows.start * out_w)
+                            g.ldb.value = ldb = plane
                     else:
                         x_tap = operand[: c_in * m].reshape(c_in, m)
                         tile = x_tap.reshape(c_in, r1 - r0, out_w)
                         tile[:, : rows.start] = tile[:, rows.stop :] = 0
                         tile[:, rows, : cols.start] = tile[:, rows, cols.stop :] = 0
                         tile[:, rows, cols] = x[n, :, src_rows, src_cols]
+                        if sums:
+                            b_at = operand_at
+                            g.ldb.value = ldb = m
                     for c in range(0, c_in, _CHANNEL_CHUNK):
+                        first = i == j == c == 0
+                        if sums and not first:
+                            k_arg.value = min(_CHANNEL_CHUNK, c_in - c)
+                            a_arg.value = taps_at + 4 * ((i * k.kw + j) * c_out * c_in + c)
+                            b_arg.value = b_at + 4 * c * ldb
+                            gemm(*args)
+                            continue
                         w_tap = taps[i, j, :, c : c + _CHANNEL_CHUNK]
-                        if i == j == c == 0:
-                            np.matmul(w_tap, x_tap[c : c + _CHANNEL_CHUNK], out=band)
+                        x_chunk = x_tap[c : c + _CHANNEL_CHUNK]
+                        if first:
+                            np.matmul(w_tap, x_chunk, out=band)
                         else:
-                            band += np.matmul(w_tap, x_tap[c : c + _CHANNEL_CHUNK], out=prod)
+                            band += np.matmul(w_tap, x_chunk, out=prod)
             if k.bias is not None:
                 band += k.bias[:, None]
             if relu:
@@ -406,29 +496,38 @@ def zero_insert_kernel(k: Kernel, r: int) -> Kernel:
 # pooling
 
 def max_pool2d(input: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
-    """Per-window maximum.  Padded cells never win (padding acts as -inf)."""
+    """Per-window maximum.  Padded cells never win (padding acts as -inf).
+
+    The taps are taken in row-major order into one output, each as
+    ``np.maximum(out, tap)`` over the output pixels whose tap cell lies in
+    the image; the first tap fills the rest with -inf.  This is the order
+    of a maximum over a -inf-padded input, so ties, signed zeros and NaN
+    come out the same."""
     if k < 1 or stride < 1 or pad < 0:
         raise ValueError("invalid pooling configuration")
     if k == stride and pad == 0 and (input.h % stride or input.w % stride):
         raise ShapeError(
             f"spatial dims {input.h}x{input.w} not divisible by stride {stride}"
         )
-    x = input.data
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=-np.inf)
-    h, w = x.shape[2], x.shape[3]
-    out_h = (h - k) // stride + 1
-    out_w = (w - k) // stride + 1
+    out_h = (input.h + 2 * pad - k) // stride + 1
+    out_w = (input.w + 2 * pad - k) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"non-positive pooled size for input {input.h}x{input.w}")
-    out = None
+    x = input.data
+    out = np.empty((input.n, input.c, out_h, out_w), np.float32)
     for i in range(k):
+        rows, src_rows = _inside(0, out_h, i - pad, stride, input.h)
         for j in range(k):
-            sl = x[:, :, i : i + (out_h - 1) * stride + 1 : stride,
-                   j : j + (out_w - 1) * stride + 1 : stride]
-            out = sl.copy() if out is None else np.maximum(out, sl)
-    return Tensor(np.ascontiguousarray(out))
+            cols, src_cols = _inside(0, out_w, j - pad, stride, input.w)
+            tap = x[:, :, src_rows, src_cols]
+            if i == j == 0:
+                out[:, :, : rows.start] = out[:, :, rows.stop :] = -np.inf
+                out[:, :, rows, : cols.start] = out[:, :, rows, cols.stop :] = -np.inf
+                out[:, :, rows, cols] = tap
+            else:
+                region = out[:, :, rows, cols]
+                np.maximum(region, tap, out=region)
+    return Tensor(out)
 
 
 def avg_pool2d(input: Tensor, k: int, stride: int) -> Tensor:
@@ -494,13 +593,15 @@ def relu(input: Tensor) -> Tensor:
     return Tensor(np.maximum(input.data, np.float32(0.0)))
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis, a's channels first."""
-    if (a.n, a.h, a.w) != (b.n, b.h, b.w):
-        raise ShapeError(
-            f"concat requires equal batch/spatial dims, got {a.shape} vs {b.shape}"
-        )
-    return Tensor(np.concatenate([a.data, b.data], axis=1))
+def concat_channels(*parts: Tensor) -> Tensor:
+    """Concatenate along the channel axis, in argument order, with one copy."""
+    a = parts[0]
+    for b in parts[1:]:
+        if (a.n, a.h, a.w) != (b.n, b.h, b.w):
+            raise ShapeError(
+                f"concat requires equal batch/spatial dims, got {a.shape} vs {b.shape}"
+            )
+    return Tensor(np.concatenate([p.data for p in parts], axis=1))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

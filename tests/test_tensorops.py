@@ -102,6 +102,21 @@ def conv2d_padded_reference(x, k, stride, dilation, pad_h, pad_w):
     return out
 
 
+def max_pool2d_padded_reference(x, k, stride, pad):
+    """max_pool2d as a copy of the input padded with -inf, then
+    ``np.maximum`` over the taps in row-major order."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
+    out_h = (xp.shape[2] - k) // stride + 1
+    out_w = (xp.shape[3] - k) // stride + 1
+    out = None
+    for i in range(k):
+        for j in range(k):
+            sl = xp[:, :, i : i + (out_h - 1) * stride + 1 : stride,
+                    j : j + (out_w - 1) * stride + 1 : stride]
+            out = sl.copy() if out is None else np.maximum(out, sl)
+    return out
+
+
 def _padded_conv_cases():
     """(n, c, h, w, kh, kw, stride, dilation, pad_h, pad_w): pads from 0 up
     to the dilation, including dilation 16 on 8 rows, where whole taps lie
@@ -346,6 +361,155 @@ class TestNumThreads:
             set_num_threads(0)
 
 
+class _CountingBlas:
+    """numpy's OpenBLAS with its sgemm calls counted."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def scipy_cblas_sgemm64_(self, *args):
+        self.calls += 1
+        self.lib.scipy_cblas_sgemm64_(*args)
+
+
+@pytest.fixture
+def sgemm(monkeypatch):
+    """conv2d accumulating inside sgemm at every band size; the fixture
+    value counts the sgemm calls conv2d makes itself."""
+    counting = _CountingBlas(tensorops._openblas())
+    monkeypatch.setattr(tensorops, "_openblas", lambda: counting)
+    monkeypatch.setattr(tensorops, "_SGEMM_MIN_PIXELS", 1)
+    return counting
+
+
+def conv2d_with_matmul(monkeypatch, *args, **kwargs):
+    """conv2d as numpy without its bundled OpenBLAS runs it: every later
+    product computed by np.matmul and added."""
+    with monkeypatch.context() as m:
+        m.setattr(tensorops, "_openblas", lambda: None)
+        return conv2d(*args, **kwargs)
+
+
+def _sgemm_cases():
+    """(c_in, kh, kw, stride, dilation): 3x3 kernels over 256 channels and
+    more (chunk tails of 4 and 194), a 1x1 kernel over two chunks, and
+    dilations up to 16, where whole taps read only padding."""
+    cases = [(c, 3, 3, stride, 1) for c in (3, 40, 256, 260, 450) for stride in (1, 2)]
+    cases += [(40, kh, kw, 1, d) for d in (2, 4, 8, 16) for kh, kw in ((3, 1), (1, 3))]
+    cases += [(3, 3, 3, 1, 16), (260, 3, 3, 2, 2), (450, 1, 1, 1, 1)]
+    return cases
+
+
+@needs_openblas
+class TestSgemmAccumulation:
+    """Later products accumulated inside sgemm (beta = 1) give the bytes of
+    np.matmul then an add."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("c_in,kh,kw,stride,dilation", _sgemm_cases())
+    def test_same_bytes_as_matmul_then_add(self, sgemm, monkeypatch, threads,
+                                           c_in, kh, kw, stride, dilation):
+        rng = np.random.default_rng(c_in + 10 * kh + kw + stride + dilation)
+        x = rand_tensor(rng, 1, c_in, 20, 22)
+        k = rand_kernel(rng, 19, c_in, kh, kw, bias=True)
+        pad_h, pad_w = dilation * (kh // 2), dilation * (kw // 2)
+        set_num_threads(threads)
+        got = conv2d(x, k, stride, dilation, pad_h, pad_w, relu=True)
+        assert sgemm.calls > 0
+        want = conv2d_with_matmul(monkeypatch, x, k, stride, dilation, pad_h, pad_w,
+                                  relu=True)
+        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bands_of_the_default_size(self, monkeypatch, threads):
+        """At its default threshold conv2d runs sgemm on 8192-pixel bands,
+        with a partial last band."""
+        counting = _CountingBlas(tensorops._openblas())
+        monkeypatch.setattr(tensorops, "_openblas", lambda: counting)
+        rng = np.random.default_rng(21)
+        x = rand_tensor(rng, 2, 40, 100, 128)
+        k = rand_kernel(rng, 40, 40, 3, 1, bias=True)
+        set_num_threads(threads)
+        got = conv2d(x, k, pad_h=1, relu=True)
+        assert counting.calls == 2 * 2 * 2  # samples x bands x later taps
+        want = conv2d_with_matmul(monkeypatch, x, k, pad_h=1, relu=True)
+        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+    def test_small_bands_skip_sgemm(self, monkeypatch):
+        counting = _CountingBlas(tensorops._openblas())
+        monkeypatch.setattr(tensorops, "_openblas", lambda: counting)
+        rng = np.random.default_rng(22)
+        conv2d(rand_tensor(rng, 1, 40, 8, 16), rand_kernel(rng, 40, 40, 3, 1), pad_h=1)
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("c_in,kh,kw,pad", [(450, 1, 1, 0), (40, 3, 3, 1), (257, 3, 3, 1)])
+    def test_one_pixel_input(self, sgemm, monkeypatch, c_in, kh, kw, pad):
+        """A 1x1 input (aspp's image-pool branch) makes np.matmul take a
+        matrix-vector route, which rounds unlike sgemm; conv2d keeps
+        matmul-then-add there."""
+        rng = np.random.default_rng(c_in + kh)
+        x = rand_tensor(rng, 1, c_in, 1, 1)
+        k = rand_kernel(rng, 40, c_in, kh, kw, bias=True)
+        got = conv2d(x, k, pad_h=pad, pad_w=pad)
+        assert sgemm.calls == 0
+        want = conv2d_with_matmul(monkeypatch, x, k, pad_h=pad, pad_w=pad)
+        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+    def test_one_output_channel(self, sgemm, monkeypatch):
+        """One output channel is np.matmul's vector-matrix route too."""
+        rng = np.random.default_rng(23)
+        x = rand_tensor(rng, 1, 300, 9, 11)
+        k = rand_kernel(rng, 1, 300, 3, 3)
+        got = conv2d(x, k, pad_h=1, pad_w=1)
+        assert sgemm.calls == 0
+        want = conv2d_with_matmul(monkeypatch, x, k, pad_h=1, pad_w=1)
+        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+
+class TestConvOut:
+    """``conv2d(out=view)`` writes the output into a caller's buffer."""
+
+    @pytest.mark.parametrize("accumulate", ["sgemm", "matmul"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_writes_only_its_slice(self, monkeypatch, accumulate, n):
+        if accumulate == "sgemm":
+            if tensorops.get_num_threads() is None:
+                pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+            monkeypatch.setattr(tensorops, "_SGEMM_MIN_PIXELS", 1)
+        else:
+            monkeypatch.setattr(tensorops, "_openblas", lambda: None)
+        rng = np.random.default_rng(30 + n)
+        x = rand_tensor(rng, n, 300, 9, 10)
+        k = rand_kernel(rng, 7, 300, 3, 1, bias=True)
+        sentinel = np.float32(-123.5)
+        buf = np.full((n, 20, 9, 10), sentinel, np.float32)
+        view = buf[:, 5:12]
+        got = conv2d(x, k, pad_h=1, relu=True, out=view)
+        want = conv2d(x, k, pad_h=1, relu=True)
+        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+        assert np.array_equal(view.view(np.uint32), want.data.view(np.uint32))
+        assert np.all(buf[:, :5] == sentinel) and np.all(buf[:, 12:] == sentinel)
+        assert view.flags.writeable  # the caller's view stays theirs
+
+    def test_rejects_unfit_buffers(self):
+        rng = np.random.default_rng(33)
+        x = rand_tensor(rng, 1, 4, 6, 6)
+        k = rand_kernel(rng, 3, 4, 3, 3)
+        buf = np.zeros((1, 8, 6, 12), np.float32)
+        frozen = np.zeros((1, 3, 6, 6), np.float32)
+        frozen.flags.writeable = False
+        for bad in (buf[:, :4, :, :6], buf[:, :3, :, ::2], buf[:, :3, :, :6],
+                    buf[:, :3, :, :6].astype(np.float64), frozen):
+            with pytest.raises(ShapeError, match="out must be"):
+                conv2d(x, k, pad_h=1, pad_w=1, out=bad)
+        base = rng.uniform(-1, 1, (1, 6, 6, 6)).astype(np.float32)
+        with pytest.raises(ValueError, match="overlap"):
+            conv2d(Tensor(base[:, :4]), k, pad_h=1, pad_w=1, out=base[:, 3:])
+
+
 class TestSeparability:
     def test_rank1_kernel_splits_into_1d_pair(self):
         """A rank-1 2-D kernel equals its 3x1 then 1x3 factorization."""
@@ -452,6 +616,23 @@ class TestPooling:
         x = t([[[[1, 2], [3, 4]]]])
         y = max_pool2d(x, 3, 2, pad=1)
         assert y.data[0, 0, 0, 0] == 4.0
+
+    @pytest.mark.parametrize("k,stride,pad", [(2, 2, 0), (2, 1, 0), (2, 2, 1), (2, 1, 1),
+                                              (3, 2, 0), (3, 1, 0), (3, 2, 1), (3, 1, 1)])
+    def test_max_matches_padded_reference_bit_for_bit(self, k, stride, pad):
+        """Ties of +0 and -0, NaNs of several payloads and signs, and +-inf
+        come out as from a -inf-padded copy maxed tap by tap."""
+        rng = np.random.default_rng(40 + 4 * k + 2 * stride + pad)
+        values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan], np.float32)
+        x = rng.choice(values, (2, 3, 10, 12))
+        bits = x.view(np.uint32)
+        nan = np.isnan(x)
+        bits[nan] |= rng.integers(0, 1 << 22, nan.sum(), dtype=np.uint32)
+        bits[nan] ^= rng.integers(0, 2, nan.sum(), dtype=np.uint32) << 31
+        want = max_pool2d_padded_reference(x, k, stride, pad)
+        got = max_pool2d(Tensor(x), k, stride, pad).data
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_avg_window(self):
         y = avg_pool2d(t([[[[1, 3], [5, 7]]]]), 2, 2)
@@ -563,6 +744,16 @@ class TestElementwise:
     def test_concat_spatial_mismatch_raises(self):
         with pytest.raises(ShapeError):
             concat_channels(Tensor.zeros(1, 1, 4, 4), Tensor.zeros(1, 1, 5, 4))
+        with pytest.raises(ShapeError):
+            concat_channels(*[Tensor.zeros(1, 1, 4, 4)] * 2, Tensor.zeros(2, 1, 4, 4))
+
+    def test_concat_of_several_equals_pairwise(self):
+        rng = np.random.default_rng(11)
+        parts = [rand_tensor(rng, 2, c, 3, 5) for c in (4, 1, 3, 2)]
+        pairwise = parts[0]
+        for p in parts[1:]:
+            pairwise = concat_channels(pairwise, p)
+        assert np.array_equal(concat_channels(*parts).data, pairwise.data)
 
     def test_add_identity(self):
         rng = np.random.default_rng(12)
