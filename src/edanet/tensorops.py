@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,28 +236,17 @@ def _openblas():
         lib.scipy_openblas_set_num_threads64_.restype = None
         lib.scipy_openblas_get_num_threads64_.argtypes = []
         lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        i64, ptr, f32 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_float
+        lib.scipy_cblas_sgemm64_.argtypes = (
+            [ctypes.c_int] * 3 + [i64] * 3 + [f32, ptr, i64, ptr, i64, f32, ptr, i64])
         lib.scipy_cblas_sgemm64_.restype = None
         return lib
     return None
 
 
-class _GemmArgs(threading.local):
-    """The ctypes arguments of ``cblas_sgemm(RowMajor, NoTrans, NoTrans, m,
-    n, k, 1, a, lda, b, ldb, 1, c, ldc)``, which adds the float32 product
-    of the matrices at addresses ``a`` and ``b`` to the one at ``c``.  Made
-    once per thread and refilled for each call, which keeps a call about
-    as cheap as ``np.matmul`` on small matrices."""
-
-    def __init__(self):
-        one, i64, ptr = ctypes.c_float(1.0), ctypes.c_int64, ctypes.c_void_p
-        self.m, self.n, self.k, self.lda, self.ldb, self.ldc = (i64() for _ in range(6))
-        self.a, self.b, self.c = ptr(), ptr(), ptr()
-        self.args = (ctypes.c_int(101), ctypes.c_int(111), ctypes.c_int(111),
-                     self.m, self.n, self.k, one, self.a, self.lda,
-                     self.b, self.ldb, one, self.c, self.ldc)
-
-
-_gemm_args = _GemmArgs()
+# The fixed arguments of cblas_sgemm as conv2d calls it: CblasRowMajor,
+# CblasNoTrans for both matrices, and alpha = beta = 1 (C += A B).
+_ROW_MAJOR, _NO_TRANS, _ONE = ctypes.c_int(101), ctypes.c_int(111), ctypes.c_float(1.0)
 
 
 def set_num_threads(n: int) -> None:
@@ -335,9 +323,9 @@ def conv2d(
     padding.  The first tap's sgemm (``np.matmul``) writes the band and
     each later sgemm accumulates into it (beta = 1).  A later product is
     instead computed by ``np.matmul`` and added, which rounds the same,
-    with a BLAS other than numpy's bundled OpenBLAS, in bands of fewer than
-    ``_SGEMM_MIN_PIXELS`` pixels, and where ``np.matmul`` would not run
-    sgemm (one output channel, or a band of one pixel).  Then the bias and
+    with a BLAS other than numpy's bundled OpenBLAS, when the bands hold
+    fewer than ``_SGEMM_MIN_PIXELS`` pixels, and where ``np.matmul`` would
+    not run sgemm (one output channel, or a band of one pixel).  Then the bias and
     ReLU are applied to the band: the float32 operations of summing the
     taps of a zero-padded input into a zeroed output.  Dilated kernels are
     bit-identical to their zero-inserted expansion.
@@ -371,8 +359,9 @@ def conv2d(
     if out is None:
         out = np.empty(shape, np.float32)
     else:
-        if (out.dtype != np.float32 or out.shape != shape
-                or out.strides[2:] != (4 * out_w, 4) or not out.flags.writeable):
+        if (out.dtype != np.float32 or out.shape != shape or not out.flags.writeable
+                or out.strides[2:] != (4 * out_w, 4)
+                or out.strides[1] < 4 * out_h * out_w):
             raise ShapeError(
                 f"out must be a writeable float32 array of shape {shape} whose "
                 f"channels hold contiguous rows, got {out.dtype} {out.shape}"
@@ -384,15 +373,19 @@ def conv2d(
     step = max(1, _BAND_PIXELS // out_w)
     band_pixels = min(step, out_h) * out_w
     operand = np.empty(c_in * band_pixels, np.float32)
-    # Later products accumulate inside sgemm wherever np.matmul would run
-    # them as sgemm (more than one output channel and, per band, more than
-    # one pixel), in bands of at least _SGEMM_MIN_PIXELS.  The others are
+    # Later products accumulate inside sgemm in bands of _SGEMM_MIN_PIXELS
+    # or more, wherever np.matmul would run them as sgemm: more than one
+    # output channel and, per band, more than one pixel.  The others are
     # added from ``product``.
     lib, gemm = _openblas(), None
     if lib is not None and c_out > 1 and band_pixels >= _SGEMM_MIN_PIXELS:
-        gemm, g = lib.scipy_cblas_sgemm64_, _gemm_args
-        args, n_arg, k_arg, a_arg, b_arg, c_arg = g.args, g.n, g.k, g.a, g.b, g.c
-        g.m.value, g.lda.value, g.ldc.value = c_out, c_in, out.strides[1] // 4
+        # The arguments are made once and refilled for each call.
+        gemm = lib.scipy_cblas_sgemm64_
+        n_arg, k_arg, ldb_arg = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+        a_arg, b_arg, c_arg = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()
+        args = (_ROW_MAJOR, _NO_TRANS, _NO_TRANS, ctypes.c_int64(c_out), n_arg, k_arg,
+                _ONE, a_arg, ctypes.c_int64(c_in), b_arg, ldb_arg, _ONE, c_arg,
+                ctypes.c_int64(out.strides[1] // 4))
         x_at, taps_at, operand_at, out_at = (
             a.ctypes.data for a in (x, taps, operand, out))
         plane = input.h * input.w
@@ -402,8 +395,8 @@ def conv2d(
             r1 = min(r0 + step, out_h)
             m = (r1 - r0) * out_w
             band = out[n, :, r0:r1].reshape(c_out, m)
-            sums = gemm is not None and m > 1
-            if not sums:
+            in_sgemm = gemm is not None and m > 1
+            if not in_sgemm:
                 prod = product[: c_out * m].reshape(c_out, m)
             else:
                 n_arg.value = m
@@ -415,21 +408,21 @@ def conv2d(
                     cols, src_cols = _inside(0, out_w, dx, stride, input.w)
                     if (stride, dx, out_w) == (1, 0, input.w) and rows == slice(0, r1 - r0):
                         x_tap = x[n, :, src_rows].reshape(c_in, m)
-                        if sums:
-                            b_at = x_at + 4 * (n * c_in * plane + src_rows.start * out_w)
-                            g.ldb.value = ldb = plane
+                        if in_sgemm:
+                            b_at = x_at + 4 * (n * c_in * plane + src_rows.start * input.w)
+                            ldb_arg.value = ldb = plane
                     else:
                         x_tap = operand[: c_in * m].reshape(c_in, m)
                         tile = x_tap.reshape(c_in, r1 - r0, out_w)
                         tile[:, : rows.start] = tile[:, rows.stop :] = 0
                         tile[:, rows, : cols.start] = tile[:, rows, cols.stop :] = 0
                         tile[:, rows, cols] = x[n, :, src_rows, src_cols]
-                        if sums:
+                        if in_sgemm:
                             b_at = operand_at
-                            g.ldb.value = ldb = m
+                            ldb_arg.value = ldb = m
                     for c in range(0, c_in, _CHANNEL_CHUNK):
                         first = i == j == c == 0
-                        if sums and not first:
+                        if in_sgemm and not first:
                             k_arg.value = min(_CHANNEL_CHUNK, c_in - c)
                             a_arg.value = taps_at + 4 * ((i * k.kw + j) * c_out * c_in + c)
                             b_arg.value = b_at + 4 * c * ldb
@@ -515,14 +508,15 @@ def max_pool2d(input: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
         raise ShapeError(f"non-positive pooled size for input {input.h}x{input.w}")
     x = input.data
     out = np.empty((input.n, input.c, out_h, out_w), np.float32)
+    col_spans = [_inside(0, out_w, j - pad, stride, input.w) for j in range(k)]
     for i in range(k):
         rows, src_rows = _inside(0, out_h, i - pad, stride, input.h)
-        for j in range(k):
-            cols, src_cols = _inside(0, out_w, j - pad, stride, input.w)
+        for j, (cols, src_cols) in enumerate(col_spans):
             tap = x[:, :, src_rows, src_cols]
             if i == j == 0:
-                out[:, :, : rows.start] = out[:, :, rows.stop :] = -np.inf
-                out[:, :, rows, : cols.start] = out[:, :, rows, cols.stop :] = -np.inf
+                if pad:  # without padding the first tap covers every pixel
+                    out[:, :, : rows.start] = out[:, :, rows.stop :] = -np.inf
+                    out[:, :, rows, : cols.start] = out[:, :, rows, cols.stop :] = -np.inf
                 out[:, :, rows, cols] = tap
             else:
                 region = out[:, :, rows, cols]

@@ -502,7 +502,8 @@ class TestConvOut:
         frozen = np.zeros((1, 3, 6, 6), np.float32)
         frozen.flags.writeable = False
         for bad in (buf[:, :4, :, :6], buf[:, :3, :, ::2], buf[:, :3, :, :6],
-                    buf[:, :3, :, :6].astype(np.float64), frozen):
+                    buf.reshape(-1)[: 3 * 36].reshape(1, 3, 6, 6).astype(np.float64),
+                    buf.reshape(1, 16, 6, 6)[:, 2::-1], frozen):
             with pytest.raises(ShapeError, match="out must be"):
                 conv2d(x, k, pad_h=1, pad_w=1, out=bad)
         base = rng.uniform(-1, 1, (1, 6, 6, 6)).astype(np.float32)
