@@ -508,15 +508,14 @@ def max_pool2d(input: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
         raise ShapeError(f"non-positive pooled size for input {input.h}x{input.w}")
     x = input.data
     out = np.empty((input.n, input.c, out_h, out_w), np.float32)
-    col_spans = [_inside(0, out_w, j - pad, stride, input.w) for j in range(k)]
     for i in range(k):
         rows, src_rows = _inside(0, out_h, i - pad, stride, input.h)
-        for j, (cols, src_cols) in enumerate(col_spans):
+        for j in range(k):
+            cols, src_cols = _inside(0, out_w, j - pad, stride, input.w)
             tap = x[:, :, src_rows, src_cols]
             if i == j == 0:
-                if pad:  # without padding the first tap covers every pixel
-                    out[:, :, : rows.start] = out[:, :, rows.stop :] = -np.inf
-                    out[:, :, rows, : cols.start] = out[:, :, rows, cols.stop :] = -np.inf
+                out[:, :, : rows.start] = out[:, :, rows.stop :] = -np.inf
+                out[:, :, rows, : cols.start] = out[:, :, rows, cols.stop :] = -np.inf
                 out[:, :, rows, cols] = tap
             else:
                 region = out[:, :, rows, cols]
