@@ -449,7 +449,6 @@ class TestDenseStages:
             tracemalloc.stop()
         assert peak < 6.0 * 2**20
 
-
     def test_folded_frame_peaks_below_growth_copies(self):
         """A folded edanet frame at 128x256 peaked at 4.73 MiB traced when
         each dense module's growth was a new tensor copied into the stage
