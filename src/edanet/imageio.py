@@ -136,7 +136,10 @@ def load_palette(text: str) -> Palette:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"palette line {line_no}: expected 'r g b'")
-        rgb = [int(p) for p in parts]
+        try:
+            rgb = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"palette line {line_no}: expected integers, got {line!r}") from None
         if any(not 0 <= v <= 255 for v in rgb):
             raise ValueError(f"palette line {line_no}: values must be 0..255")
         rows.append(rgb)

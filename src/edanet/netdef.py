@@ -83,19 +83,12 @@ class LayerSpec:
         what = f"{self.kind} layer {self.name!r}"
         if self.folded and self.kind not in _FOLDABLE:
             raise NetspecError(f"{what} has no folded form")
-        keys = _KIND_KEYS[self.kind] + (("folded", "folded", _BOOL, False),)
+        keys = _KIND_KEYS[self.kind] + (_FOLDED,)
         unused = set(vars(self)) - {attr for _, attr, _, _ in keys} - {"kind"}
         for attr in sorted(unused):
             if getattr(self, attr) is not None:
                 raise NetspecError(f"{what} takes no {attr!r}")
-        for key, attr, codec, default in keys:
-            value = getattr(self, attr)
-            if value is None:
-                if default is _REQUIRED:
-                    raise NetspecError(f"{what} missing required key {key!r}")
-                object.__setattr__(self, attr, default)
-            elif _decode(codec, f"{what}: {key}", codec[2](value)) != value:
-                raise NetspecError(f"{what}: {key} expects {codec[0]}, got {value!r}")
+        _check_fields(self, keys, what)
         object.__setattr__(self, "_hash", hash(_fields_of(self)))
 
     # Specs key the lowering, analysis and weight-table memos, so each hashes
@@ -110,20 +103,26 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A network, held to the text format as each of its layers is: the
+    header's fields follow the header's key table, with no coercion."""
+
     name: str
     classes: int
     layers: tuple
-    train_size: tuple = (512, 1024)
-    inference_upscale: int = 1
+    train_size: tuple
+    inference_upscale: int
 
-    def __init__(self, name, classes, layers, train_size=(512, 1024),
-                 inference_upscale=1):
+    def __init__(self, name, classes, layers, train_size=None,
+                 inference_upscale=None):
+        if hasattr(train_size, "__iter__"):  # anything else fails the field check
+            train_size = tuple(train_size)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "classes", int(classes))
+        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "layers", tuple(layers))
-        object.__setattr__(self, "train_size", tuple(train_size))
-        object.__setattr__(self, "inference_upscale", int(inference_upscale))
-        _validate_network(self)
+        object.__setattr__(self, "train_size", train_size)
+        object.__setattr__(self, "inference_upscale", inference_upscale)
+        _check_fields(self, _HEADER_KEYS, f"network {name!r}")
+        _validate_layers(self.layers, self.classes)
         object.__setattr__(self, "_hash", hash(_fields_of(self)))
 
     def __hash__(self):  # as LayerSpec's
@@ -145,7 +144,7 @@ def _field_getter(cls):
 
 
 # ---------------------------------------------------------------------------
-# grammar: canonical key order per kind, with parse defaults
+# grammar: canonical key order per line kind, with parse defaults
 
 _REQUIRED = object()
 
@@ -170,21 +169,58 @@ def _decode(codec: tuple, key: str, text: str, line_no: int = 0, col: int = 0):
         raise NetspecError(f"{key} expects {codec[0]}, got {text!r}", line_no, col)
 
 
+def _check_fields(spec, keys: tuple, what: str) -> None:
+    """Hold ``spec`` to its line's key table: an unset optional field takes
+    its default; an unset required one, or a value that does not read back
+    unchanged from its text form, is a NetspecError."""
+    for key, attr, codec, default in keys:
+        value = getattr(spec, attr)
+        if value is None:
+            if default is _REQUIRED:
+                raise NetspecError(f"{what} missing required key {key!r}")
+            object.__setattr__(spec, attr, default)
+        elif _decode(codec, f"{what}: {key}", codec[2](value)) != value:
+            raise NetspecError(f"{what}: {key} expects {codec[0]}, got {value!r}")
+
+
 def _parse_name(text: str) -> str:
     if not text or any(c.isspace() or c == "#" for c in text):
         raise ValueError(text)
     return text
 
 
+def _parse_size(text: str) -> tuple:
+    h, w = text.lower().split("x")
+    return _INT[1](h), _INT[1](w)
+
+
+def _format_size(size) -> str:
+    if isinstance(size, tuple) and len(size) == 2:
+        return f"{size[0]}x{size[1]}"
+    return repr(size)  # not a pair: text the parser rejects
+
+
 # a name is one token of the text format: no whitespace, no comment mark
 _NAME = ("a non-empty name without whitespace or '#'", _parse_name, str)
 
 # pads may be zero; every other integer (channels, kernel sizes, strides,
-# dilations, factors) must be positive, or shapes divide by zero later
+# dilations, factors, sizes) must be positive, or shapes divide by zero later
 _INT = _int_at_least(1)
 _PAD = _int_at_least(0)
+_SIZE = ("HxW of two ints >= 1", _parse_size, _format_size)
 
-# kind -> ordered (text key, attribute, codec, default)
+# ordered (text key, attribute, codec, default)
+_HEADER_KEYS = (
+    ("name", "name", _NAME, _REQUIRED),
+    ("classes", "classes", _INT, _REQUIRED),
+    ("upscale", "inference_upscale", _INT, 1),
+    ("train", "train_size", _SIZE, (512, 1024)),
+)
+
+# written only when set, and read only on the foldable kinds
+_FOLDED = ("folded", "folded", _BOOL, False)
+
+# layer kind -> ordered (text key, attribute, codec, default)
 _KIND_KEYS = {
     "conv": (
         ("name", "name", _NAME, _REQUIRED),
@@ -260,6 +296,13 @@ _KIND_KEYS = {
 # kinds that carry internal BN and therefore a folded form
 _FOLDABLE = ("eda", "eda_na", "erf", "downsample", "aspp")
 
+# line kind ('net' for the header) -> text key -> (attribute, codec)
+_LINE_KEYS = {
+    kind: {key: (attr, codec) for key, attr, codec, _ in
+           keys + ((_FOLDED,) if kind in _FOLDABLE else ())}
+    for kind, keys in {"net": _HEADER_KEYS, **_KIND_KEYS}.items()
+}
+
 
 def layer_out_channels(layer: LayerSpec, current: Optional[int]) -> Optional[int]:
     """Output channel count of a layer given the incoming count (which may
@@ -329,16 +372,6 @@ def _validate_layers(layers, classes: int) -> None:
                     "after the projection layer",
                     i,
                 )
-
-
-def _validate_network(net: NetworkSpec) -> None:
-    if _decode(_NAME, "network name", _NAME[2](net.name)) != net.name:
-        raise NetspecError(f"network name expects {_NAME[0]}, got {net.name!r}")
-    if net.classes < 1:
-        raise NetspecError(f"classes must be >= 1, got {net.classes}")
-    if net.inference_upscale < 1:
-        raise NetspecError(f"upscale must be >= 1, got {net.inference_upscale}")
-    _validate_layers(net.layers, net.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -473,38 +506,26 @@ def build_variant(
 # text format
 
 def serialize_netspec(net: NetworkSpec) -> str:
-    """Canonical text form: fixed key order, single spaces, one layer per
-    line; the training size rides on the header."""
-    th, tw = net.train_size
-    lines = [
-        f"net name={net.name} classes={net.classes} "
-        f"upscale={net.inference_upscale} train={th}x{tw}"
-    ]
+    """Canonical text form: a header line, then one layer per line, each
+    with its keys in table order and single spaces."""
+    lines = [_write_line("net", net, _HEADER_KEYS)]
     for layer in net.layers:
-        parts = [layer.kind]
-        for key, attr, codec, _ in _KIND_KEYS[layer.kind]:
-            parts.append(f"{key}={codec[2](getattr(layer, attr))}")
-        if layer.kind in _FOLDABLE and layer.folded:
-            parts.append("folded=1")
-        lines.append(" ".join(parts))
+        keys = _KIND_KEYS[layer.kind] + ((_FOLDED,) if layer.folded else ())
+        lines.append(_write_line(layer.kind, layer, keys))
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv(token: str, line_no: int, col: int) -> tuple[str, str]:
-    if "=" not in token:
-        raise NetspecError(f"expected key=value, got {token!r}", line_no, col)
-    key, _, value = token.partition("=")
-    if not key or not value:
-        raise NetspecError(f"expected key=value, got {token!r}", line_no, col)
-    return key, value
+def _write_line(kind: str, spec, keys: tuple) -> str:
+    return " ".join([kind] + [f"{key}={codec[2](getattr(spec, attr))}"
+                              for key, attr, codec, _ in keys])
 
 
 def parse_netspec(text: str) -> NetworkSpec:
     """Parse the ``.nspec`` format; raises NetspecError with the offending
     line and column on malformed input."""
-    header = None
+    header: dict = {}
     layers: list[LayerSpec] = []
-    layer_lines: list[int] = []
+    spec_lines: list[int] = []  # the header's line, then each layer's
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         # (token, 1-based column) pairs of the line, comment dropped
@@ -513,83 +534,40 @@ def parse_netspec(text: str) -> NetworkSpec:
         if not tokens:
             continue
         (kind, kind_col) = tokens[0]
-        if header is None:
-            if kind != "net":
-                raise NetspecError(
-                    f"expected header line starting with 'net', got {kind!r}",
-                    line_no, kind_col,
-                )
-            header = _parse_header(tokens[1:], line_no)
-            continue
-        if kind == "net":
+        if not spec_lines and kind != "net":
+            raise NetspecError(f"expected header line starting with 'net', got {kind!r}",
+                               line_no, kind_col)
+        if spec_lines and kind == "net":
             raise NetspecError("duplicate header line", line_no, kind_col)
-        if kind not in _KIND_KEYS:
+        if kind not in _LINE_KEYS:
             raise NetspecError(f"unknown layer kind {kind!r}", line_no, kind_col)
-        fields = _parse_layer_fields(kind, tokens[1:], line_no)
+        fields = _parse_fields(kind, tokens[1:], line_no)
+        spec_lines.append(line_no)
+        if kind == "net":
+            header = fields
+            continue
         try:
             layers.append(LayerSpec(kind, fields.pop("name", None), **fields))
         except NetspecError as exc:  # a missing required key
             raise NetspecError(str(exc), line_no, 1) from None
-        layer_lines.append(line_no)
 
-    if header is None:
+    if not spec_lines:
         raise NetspecError("empty network description: missing header line")
-    name, classes, upscale, train_size = header
     try:
-        return NetworkSpec(
-            name=name,
-            classes=classes,
-            layers=layers,
-            train_size=train_size,
-            inference_upscale=upscale,
-        )
-    except NetspecError as exc:  # a layer's: the header parse checked the rest
-        raise NetspecError(str(exc), layer_lines[exc._layer], 1) from None
+        return NetworkSpec(header.pop("name", None), header.pop("classes", None),
+                           layers, **header)
+    except NetspecError as exc:  # a missing header key, or a layer's fault
+        raise NetspecError(str(exc), spec_lines[getattr(exc, "_layer", -1) + 1], 1) from None
 
 
-def _parse_header(tokens, line_no: int):
-    values = {}
-    for token, col in tokens:
-        key, value = _parse_kv(token, line_no, col)
-        if key in values:
-            raise NetspecError(f"duplicate header key {key!r}", line_no, col)
-        if key == "name":
-            values[key] = value
-        elif key in ("classes", "upscale"):
-            values[key] = _decode(_INT, key, value, line_no, col)
-        elif key == "train":
-            values[key] = _parse_size(value, line_no, col)
-        else:
-            raise NetspecError(f"unknown header key {key!r}", line_no, col)
-    for required in ("name", "classes"):
-        if required not in values:
-            raise NetspecError(f"header missing {required!r}", line_no, 1)
-    return (
-        values["name"],
-        values["classes"],
-        values.get("upscale", 1),
-        values.get("train", (512, 1024)),
-    )
-
-
-def _parse_size(value: str, line_no: int, col: int) -> tuple:
-    parts = value.lower().split("x")
-    if len(parts) != 2:
-        raise NetspecError(f"expected HxW, got {value!r}", line_no, col)
-    return (
-        _decode(_INT, "train height", parts[0], line_no, col),
-        _decode(_INT, "train width", parts[1], line_no, col),
-    )
-
-
-def _parse_layer_fields(kind: str, tokens, line_no: int) -> dict:
-    """The decoded fields a layer line gives; ``LayerSpec`` fills the rest."""
-    by_key = {key: (attr, codec) for key, attr, codec, _ in _KIND_KEYS[kind]}
-    if kind in _FOLDABLE:
-        by_key["folded"] = ("folded", _BOOL)
+def _parse_fields(kind: str, tokens, line_no: int) -> dict:
+    """The decoded fields a line gives; the spec fills the rest."""
+    by_key = _LINE_KEYS[kind]
     fields: dict = {}
     for token, col in tokens:
-        key, value = _parse_kv(token, line_no, col)
+        key, _, value = token.partition("=")
+        if not key or not value:
+            raise NetspecError(f"expected key=value, got {token!r}", line_no, col)
         if key not in by_key:
             raise NetspecError(f"unknown key {key!r} for kind {kind!r}", line_no, col)
         attr, codec = by_key[key]

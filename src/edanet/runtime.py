@@ -438,24 +438,32 @@ def infer_image(net: NetworkSpec, weights: WeightStore, image: Tensor) -> LabelM
 # on-disk format
 
 def save_weights(store: WeightStore, path) -> None:
+    records = _records(store)
     with open(path, "wb") as fh:
-        fh.writelines(_records(store))
+        fh.writelines(records)
 
 
 def serialize_weights(store: WeightStore) -> bytes:
     return b"".join(_records(store))
 
 
-def _records(store: WeightStore):
+def _records(store: WeightStore) -> list:
     """The file's parts in order: the header, then each tensor's record
     header and a view of its little-endian float32 payload, so no part
-    copies a tensor."""
-    yield struct.pack("<4sIII", _MAGIC, _VERSION, len(store), 0)
+    copies a tensor.  A name the format cannot hold fails here, before
+    any part is written."""
+    parts = [struct.pack("<4sIII", _MAGIC, _VERSION, len(store), 0)]
     for name, arr in store.items():
         encoded = name.encode("utf-8")
-        yield struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I",
-                          len(encoded), encoded, 0, arr.ndim, *arr.shape)
-        yield arr.astype("<f4", copy=False).reshape(-1).data.cast("B")
+        if len(encoded) > 0xFFFF:
+            raise WeightFormatError(
+                f"tensor name {name[:32]!r}... is {len(encoded)} UTF-8 bytes; "
+                "an .edaw name holds at most 65535"
+            )
+        parts.append(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I",
+                                 len(encoded), encoded, 0, arr.ndim, *arr.shape))
+        parts.append(arr.astype("<f4", copy=False).reshape(-1).data.cast("B"))
+    return parts
 
 
 def load_weights(path) -> WeightStore:

@@ -217,6 +217,13 @@ class TestExitCodes:
         bad.write_text("net name=x classes=2\neda name=m in=60\n")
         assert run("analyze", "--net", bad) == 4
 
+    def test_name_too_long_for_the_weight_file_writes_nothing(self, workdir, capsys):
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        net.write_text(f"net name=x classes=2\ndownsample name={'d' * 70000} in=3 out=8\n")
+        assert run("init", "--net", net, "--seed", "1", "--out", w) == 4
+        assert "at most 65535" in capsys.readouterr().err
+        assert not w.exists()
+
     @pytest.mark.parametrize("layer", [
         "conv name=c in=3 out=8 kh=3 kw=3 stride=0",
         "bilinear name=u factor=0",

@@ -104,6 +104,10 @@ class TestPalette:
         with pytest.raises(ValueError, match="line 2"):
             load_palette("1 2 3\n4 5\n")
 
+    def test_rejects_non_integer_with_its_line(self):
+        with pytest.raises(ValueError, match="palette line 3: expected integers, got '4 5 x'"):
+            load_palette("1 2 3\n# comment\n4 5 x\n")
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             load_palette("0 0 300\n")

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -175,6 +176,12 @@ class TestNetspecFormat:
         with pytest.raises(NetspecError, match="line 1, col 15: classes expects int >= 1"):
             parse_netspec("net name=demo classes=0\n")
 
+    @pytest.mark.parametrize("size", ["0x4", "512", "1x2x3", "ax4", "4x"])
+    def test_malformed_train_size_rejected_at_its_column(self, size):
+        with pytest.raises(NetspecError, match=re.escape(
+                f"line 1, col 25: train expects HxW of two ints >= 1, got '{size}'")):
+            parse_netspec(f"net name=demo classes=2 train={size}\n")
+
     def test_zero_pad_accepted(self):
         net = parse_netspec("net name=demo classes=2\nmaxpool name=p k=3 stride=2 pad=0\n")
         assert net.layers[0].pad == 0
@@ -186,8 +193,8 @@ class TestNetspecFormat:
     @pytest.mark.parametrize("text, message", [
         ("net name=demo classes=2\neda name=m in=60 growth=40 in=60\n",
          "line 2, col 28: duplicate key 'in'"),
-        ("net name=demo classes=2 depth=3\n", "line 1, col 25: unknown header key 'depth'"),
-        ("net name=demo upscale=2\n", "line 1, col 1: header missing 'classes'"),
+        ("net name=demo classes=2 depth=3\n", "line 1, col 25: unknown key 'depth' for kind 'net'"),
+        ("net name=demo upscale=2\n", "line 1, col 1: network 'demo' missing required key 'classes'"),
         ("# a comment\n\n", "empty network description: missing header line"),
     ], ids=["repeated_layer_key", "unknown_header_key", "header_without_classes",
             "no_header"])
@@ -289,12 +296,12 @@ class TestNetworkSpecValidation:
     def test_name_the_text_format_cannot_hold_is_rejected(self, name):
         with pytest.raises(NetspecError, match="name expects"):
             LayerSpec("bilinear", name, factor=2)
-        with pytest.raises(NetspecError, match="network name expects"):
+        with pytest.raises(NetspecError, match=re.escape(f"network {name!r}: name expects")):
             NetworkSpec(name, 2, [LayerSpec("bilinear", "u", factor=2)])
 
     @pytest.mark.parametrize("classes, upscale, message", [
-        (0, 1, "classes must be >= 1, got 0"),
-        (2, 0, "upscale must be >= 1, got 0"),
+        (0, 1, "network 'demo': classes expects int >= 1, got '0'"),
+        (2, 0, "network 'demo': upscale expects int >= 1, got '0'"),
     ], ids=["classes", "upscale"])
     def test_out_of_range_network_integer_rejected(self, classes, upscale, message):
         with pytest.raises(NetspecError, match=message):

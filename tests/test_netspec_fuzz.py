@@ -2,7 +2,9 @@
 network either fails to parse with NetspecError, or parses to a network
 whose every layer lowers and which survives a serialize/parse round trip.
 A one-layer network built in code either fails with NetspecError, or
-survives the round trip with the same parameter table."""
+survives the round trip with the same parameter table; a network built in
+code with any header values either fails, or holds them as given and
+survives the round trip."""
 
 import dataclasses
 
@@ -82,3 +84,31 @@ def test_layer_built_in_code_is_rejected_or_round_trips(kind, data):
     again = parse_netspec(serialize_netspec(net))
     assert again == net
     assert parameter_names(again) == parameter_names(net)
+
+
+# every kind of value a header field might be handed in code: in and out of
+# range, a pair too short or too long, and the types int() would coerce
+NET_INTS = st.one_of(st.integers(-2, 40), st.floats(-2, 40), st.booleans(),
+                     st.integers(-2, 40).map(str))
+SIZES = st.one_of(
+    st.tuples(st.integers(-1, 600), st.integers(-1, 600)),
+    st.tuples(st.integers(1, 600)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    st.tuples(NET_INTS, NET_INTS),
+    NET_INTS,
+)
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@hypothesis.given(name=NAMES, classes=NET_INTS, upscale=NET_INTS, train_size=SIZES)
+def test_network_built_in_code_is_rejected_or_round_trips(name, classes, upscale,
+                                                          train_size):
+    try:
+        net = NetworkSpec(name, classes, [LayerSpec("bilinear", "u", factor=2)],
+                          train_size=train_size, inference_upscale=upscale)
+    except NetspecError:
+        return
+    # held as given: nothing was coerced into range or type
+    assert (net.name, net.classes, net.inference_upscale, net.train_size) == (
+        name, classes, upscale, train_size)
+    assert parse_netspec(serialize_netspec(net)) == net
