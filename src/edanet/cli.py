@@ -129,8 +129,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_init(args) -> int:
     net = netdef.parse_netspec(Path(args.net).read_text(encoding="utf-8"))
-    store = runtime.init_weights(net, args.seed)
-    runtime.save_weights(store, args.out)
+    runtime.write_weights(runtime.parameter_names(net),
+                          runtime.init_tensors(net, args.seed), args.out)
     return EXIT_OK
 
 
@@ -166,9 +166,10 @@ def cmd_infer(args) -> int:
 def cmd_fold(args) -> int:
     net = netdef.parse_netspec(Path(args.net).read_text(encoding="utf-8"))
     store = runtime.load_weights(args.weights)
-    folded = runtime.fold_batch_norm(net, store)
-    Path(args.out_net).write_text(netdef.serialize_netspec(folded.net), encoding="utf-8")
-    runtime.save_weights(folded.weights, args.out_weights)
+    folded_net, pairs = runtime.fold_tensors(net, store)
+    text = netdef.serialize_netspec(folded_net)
+    runtime.write_weights(runtime.parameter_names(folded_net), pairs, args.out_weights)
+    Path(args.out_net).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 

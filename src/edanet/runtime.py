@@ -4,13 +4,17 @@ forward executor.
 Weights live in a WeightStore keyed ``<layer>.<step>.<param>`` (for example
 ``m1_1.conv1x1.w`` or ``m1_1.bn1.gamma``).  The on-disk ``.edaw`` format is
 little-endian: a 16-byte header (magic ``EDAW``, version u32, entry count
-u32, reserved u32) followed by one record per tensor.
+u32, reserved u32) followed by one record per tensor.  Files are written
+record by record and read into one buffer that the loaded tensors view.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -68,9 +72,12 @@ __all__ = [
     "FoldError",
     "parameter_names",
     "init_weights",
+    "init_tensors",
     "fold_batch_norm",
+    "fold_tensors",
     "forward",
     "save_weights",
+    "write_weights",
     "load_weights",
     "infer_image",
     "splitmix64",
@@ -96,9 +103,8 @@ class WeightStore:
 
     def __init__(self, tensors: dict | None = None):
         self._tensors: dict[str, np.ndarray] = {}
-        if tensors:
-            for name, arr in tensors.items():
-                self[name] = arr
+        for name, arr in (tensors or {}).items():
+            self[name] = arr
 
     def __setitem__(self, name: str, arr) -> None:
         arr = np.ascontiguousarray(arr, dtype=np.float32)
@@ -235,16 +241,19 @@ def init_weights(net: NetworkSpec, seed: int) -> WeightStore:
     Convolution weights draw uniformly from [-b, b], b = sqrt(6 / fan_in)
     with fan_in = in_channels * kh * kw; biases start at zero; BN starts as
     the identity transform (gamma 1, beta 0, mean 0, var 1)."""
-    store = WeightStore()
+    return WeightStore(dict(init_tensors(net, seed)))
+
+
+def init_tensors(net: NetworkSpec, seed: int):
+    """``init_weights``'s ``(name, tensor)`` pairs in store order, made one by one."""
     seed &= _MASK64
     for _, name, shape in _param_table(net):
         if name.endswith(".w"):
             bound = math.sqrt(6.0 / math.prod(shape[1:]))
-            store[name] = _draw_uniform(name, seed, shape, bound)
+            yield name, _draw_uniform(name, seed, shape, bound)
         else:
             fill = np.ones if name.endswith((".gamma", ".var", ".scale")) else np.zeros
-            store[name] = fill(shape, np.float32)
-    return store
+            yield name, fill(shape, np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +263,37 @@ def fold_batch_norm(net: NetworkSpec, weights: WeightStore) -> FoldedNetwork:
     """Merge every BN into its producing convolution: with
     s = gamma / sqrt(var + eps), the convolution's weights become s*w and
     its bias s*(old_bias - mean) + beta.  The returned network contains no
-    BN steps and computes the same function up to float32 rounding."""
-    bound = _bind(net, weights)
-    merged: dict = {}
+    BN steps and computes the same function up to float32 rounding.  The
+    folded store owns its tensors: none views ``weights``."""
+    folded_net, pairs = fold_tensors(net, weights)
+    return FoldedNetwork(folded_net, WeightStore(dict(pairs)))
 
-    def merge(step, conv, bn, lo, hi):
+
+def fold_tensors(net: NetworkSpec, weights: WeightStore) -> tuple:
+    """``(folded network, pairs)``, after every check (``_bind``'s, the
+    rewrite's ``FoldError``).  ``pairs`` yields the folded store's tensors in
+    store order, merging one step at a time and copying those carried over."""
+    bound, plans = _bind(net, weights), {}
+    for layer in net.layers:  # record each merge: (conv, bn, lo, hi) per new step
+        fold_bn(expand_layer(layer), lambda step, *plan: plans.update({step.name: plan}))
+    folded_net = replace(net, layers=[fold_layer(l) for l in net.layers])
+
+    def merge(conv, bn, lo, hi) -> tuple:
         gamma, beta, mean, var = (t[lo:hi] for t in bound[bn.name])
         s = gamma / np.sqrt(var + np.float32(BN_EPS))
         if conv is None:  # scale, shift
-            values = (s, beta - s * mean)
-        else:  # w, b
-            w, *b = bound[conv.name]
-            old_b = b[0] if b else np.zeros(conv.out_ch, np.float32)
-            values = (w * s[:, None, None, None], s * (old_b - mean) + beta)
-        for (suffix, _), value in zip(param_shapes(step), values):
-            merged[f"{step.name}.{suffix}"] = value
+            return s, beta - s * mean
+        w, *b = bound[conv.name]  # w, b
+        old_b = b[0] if b else np.zeros(conv.out_ch, np.float32)
+        return w * s[:, None, None, None], s * (old_b - mean) + beta
 
-    for layer in net.layers:
-        fold_bn(expand_layer(layer), merge)
-    folded_net = replace(net, layers=[fold_layer(l) for l in net.layers])
-    dst = WeightStore()
-    for name in parameter_names(folded_net):
-        dst[name] = merged[name] if name in merged else weights[name]
-    return FoldedNetwork(folded_net, dst)
+    def pairs():
+        for step, entries in itertools.groupby(_param_table(folded_net), lambda e: e[0].name):
+            names = [name for _, name, _ in entries]
+            yield from zip(names, merge(*plans[step]) if step in plans
+                           else (np.array(weights[name]) for name in names))
+
+    return folded_net, pairs()
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +397,7 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
             end = next((e for e in range(k, len(dense)) if not dense[e]), len(dense))
             stage = np.empty((x.n, report.layers[end - 1].out_shape[0], x.h, x.w), np.float32)
             stage[:, : x.c] = x.data
+            x = Tensor(stage[:, : x.c])  # frees the stage's input
         c = x.c
         for branch in node.branches[1:]:
             y = _eval(branch, x, bound, out=stage[:, c:])
@@ -438,80 +456,98 @@ def infer_image(net: NetworkSpec, weights: WeightStore, image: Tensor) -> LabelM
 # on-disk format
 
 def save_weights(store: WeightStore, path) -> None:
-    records = _records(store)
-    with open(path, "wb") as fh:
-        fh.writelines(records)
+    write_weights(store.names(), store.items(), path)
 
 
 def serialize_weights(store: WeightStore) -> bytes:
-    return b"".join(_records(store))
+    return b"".join(_encode(store.names(), store.items()))
 
 
-def _records(store: WeightStore) -> list:
-    """The file's parts in order: the header, then each tensor's record
-    header and a view of its little-endian float32 payload, so no part
-    copies a tensor.  A name the format cannot hold fails here, before
-    any part is written."""
-    parts = [struct.pack("<4sIII", _MAGIC, _VERSION, len(store), 0)]
-    for name, arr in store.items():
+def write_weights(names: list, pairs, path) -> None:
+    """Write an .edaw file of the ``(name, tensor)`` pairs that ``pairs``
+    yields, taken one at a time, in the order of ``names``."""
+    parts = _encode(names, pairs)
+    header = next(parts)  # every name is checked before the file is opened
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.writelines(parts)
+
+
+def _encode(names: list, pairs):
+    """The file's parts in order: the header, once every name is checked,
+    then each pair's record header and a view of its little-endian float32
+    payload, so no part copies a tensor."""
+    for name in names:
+        size = len(name.encode("utf-8"))
+        if size > 0xFFFF:
+            raise WeightFormatError(f"tensor name {name[:32]!r}... is {size} UTF-8 bytes; "
+                                    "an .edaw name holds at most 65535")
+    yield struct.pack("<4sIII", _MAGIC, _VERSION, len(names), 0)
+    for name, arr in pairs:
         encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise WeightFormatError(
-                f"tensor name {name[:32]!r}... is {len(encoded)} UTF-8 bytes; "
-                "an .edaw name holds at most 65535"
-            )
-        parts.append(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I",
-                                 len(encoded), encoded, 0, arr.ndim, *arr.shape))
-        parts.append(arr.astype("<f4", copy=False).reshape(-1).data.cast("B"))
-    return parts
+        yield struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I",
+                          len(encoded), encoded, 0, arr.ndim, *arr.shape)
+        yield arr.astype("<f4", copy=False).reshape(-1).data.cast("B")
 
 
 def load_weights(path) -> WeightStore:
     with open(path, "rb") as fh:
-        return deserialize_weights(fh.read())
+        buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        buf = buf[: fh.readinto(buf)]
+        rest = fh.read()  # to EOF: all of a pipe, whose size reads 0
+    return _parse(np.concatenate((buf, np.frombuffer(rest, np.uint8))) if rest else buf)
 
 
 def deserialize_weights(data: bytes) -> WeightStore:
-    view = memoryview(data)
-    pos = 0
+    return _parse(np.frombuffer(data, np.uint8).copy())
 
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise WeightFormatError(
-                f"truncated file: needed {n} bytes at offset {pos}"
-            )
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
 
-    if bytes(take(4)) != _MAGIC:
+def _unpack(fmt: str, buf: np.ndarray, pos: int) -> tuple:  # (*values, next offset)
+    n = struct.calcsize(fmt)
+    _need(buf, pos, n)
+    return *struct.unpack_from(fmt, buf, pos), pos + n
+
+
+def _need(buf: np.ndarray, pos: int, n: int) -> None:
+    if pos + n > len(buf):
+        raise WeightFormatError(f"truncated file: needed {n} bytes at offset {pos}")
+
+
+def _parse(buf: np.ndarray) -> WeightStore:
+    """The store of the .edaw file in the bytes ``buf``, its tensors
+    read-only views of ``buf``: each payload first moves down by its address
+    mod 4, over its own record header, already parsed, so each view is aligned."""
+    magic, pos = _unpack("4s", buf, 0)
+    if magic != _MAGIC:
         raise WeightFormatError("bad magic: not an .edaw weight file")
-    version, count, _reserved = struct.unpack("<III", take(12))
+    version, count, _reserved, pos = _unpack("<III", buf, pos)
     if version != _VERSION:
         raise WeightFormatError(f"unsupported version {version}")
-    store = WeightStore()
+    base, store = buf.ctypes.data, WeightStore()
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
+        name_len, pos = _unpack("<H", buf, pos)
+        name, pos = _unpack(f"{name_len}s", buf, pos)
         try:
-            name = bytes(take(name_len)).decode("utf-8")
+            name = name.decode("utf-8")
         except UnicodeDecodeError:
             raise WeightFormatError(f"tensor name at offset {pos - name_len} is not UTF-8") from None
-        dtype, ndims = struct.unpack("<BB", take(2))
+        dtype, ndims, pos = _unpack("<BB", buf, pos)
         if dtype != 0:
             raise WeightFormatError(f"unsupported dtype code {dtype}")
-        dims = struct.unpack(f"<{ndims}I", take(4 * ndims)) if ndims else ()
-        n_elem = 1
-        for d in dims:
-            n_elem *= d
-        payload = take(4 * n_elem)
+        *dims, pos = _unpack(f"<{ndims}I", buf, pos)
+        size = 4 * math.prod(dims)
+        _need(buf, pos, size)
+        start = pos - (base + pos) % 4
+        if start != pos:
+            ctypes.memmove(base + start, base + pos, size)
+        pos += size
         try:
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+            arr = buf[start : start + size].view("<f4").reshape(dims)
         except ValueError as exc:  # numpy rejects the dimension count
             raise WeightFormatError(f"tensor {name!r}: {exc}") from None
         if name in store:
             raise WeightFormatError(f"duplicate tensor name {name!r}")
         store[name] = arr
-    if pos != len(view):
-        raise WeightFormatError(f"{len(view) - pos} trailing bytes after last entry")
+    if pos != len(buf):
+        raise WeightFormatError(f"{len(buf) - pos} trailing bytes after last entry")
     return store

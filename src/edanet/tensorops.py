@@ -372,7 +372,8 @@ def conv2d(
     taps = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1))
     step = max(1, _BAND_PIXELS // out_w)
     band_pixels = min(step, out_h) * out_w
-    operand = np.empty(c_in * band_pixels, np.float32)
+    copies = (stride, k.kw, pad_h, pad_w) != (1, 1, 0, 0)  # else every tap views x
+    operand = np.empty(c_in * band_pixels * copies, np.float32)
     # Later products accumulate inside sgemm in bands of _SGEMM_MIN_PIXELS
     # or more, wherever np.matmul would run them as sgemm: more than one
     # output channel and, per band, more than one pixel.  The others are

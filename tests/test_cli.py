@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,39 @@ class TestFoldCommand:
         run("infer", "--net", fnet, "--weights", fw,
             "--image", workdir / "in.ppm", "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("variant", netdef.VARIANTS)
+    def test_streamed_files_are_the_serialized_stores(self, workdir, variant):
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        fnet, fw = workdir / "folded.nspec", workdir / "folded.edaw"
+        assert run("build", "--variant", variant, "--out", net) == 0
+        assert run("init", "--net", net, "--seed", "5", "--out", w) == 0
+        assert run("fold", "--net", net, "--weights", w,
+                   "--out-net", fnet, "--out-weights", fw) == 0
+        spec = netdef.parse_netspec(net.read_text())
+        store = runtime.init_weights(spec, 5)
+        assert w.read_bytes() == runtime.serialize_weights(store)
+        folded = runtime.fold_batch_norm(spec, store)
+        assert fw.read_bytes() == runtime.serialize_weights(folded.weights)
+        assert fnet.read_text() == netdef.serialize_netspec(folded.net)
+
+    def test_init_and_fold_hold_one_step_at_a_time(self, workdir):
+        """aspp's init then save peaked at 14.7 MiB traced, and its fold
+        then save at 26.3 MiB: each built the whole store before writing."""
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        run("build", "--variant", "aspp", "--out", net)
+        peaks = []
+        for argv in (("init", "--net", net, "--seed", "5", "--out", w),
+                     ("fold", "--net", net, "--weights", w, "--out-net", workdir / "f.nspec",
+                      "--out-weights", workdir / "f.edaw")):
+            tracemalloc.start()
+            try:
+                assert run(*argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 6 * 2**20
+        assert peaks[1] < w.stat().st_size + 8 * 2**20
 
 
 class TestSelftest:

@@ -226,6 +226,24 @@ class TestConv2d:
         fused = conv2d(x, k, stride, dilation, pad_h, pad_w, relu=True)
         assert np.array_equal(fused.data.view(np.uint32), relu(got).data.view(np.uint32))
 
+    @pytest.mark.parametrize("kh", [1, 3])
+    def test_taps_that_all_view_the_input_allocate_no_operand(self, kh):
+        """At stride 1 without padding, every tap of a one-column kernel
+        views the input.  A 256-channel band operand (8 MiB at 64x128) was
+        allocated anyway and never written."""
+        rng = np.random.default_rng(31 + kh)
+        x = rand_tensor(rng, 1, 256, 63 + kh, 128)
+        k = rand_kernel(rng, 8, 256, kh, 1, bias=True)
+        want = conv2d_padded_reference(x.data, k, 1, 1, 0, 0)
+        tracemalloc.start()
+        try:
+            got = conv2d(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the 256 KiB output and small buffers
+        assert np.array_equal(got.data.view(np.uint32), want.view(np.uint32))
+
     def test_channel_mismatch_raises(self):
         x = Tensor.zeros(1, 3, 4, 4)
         k = Kernel(np.ones((1, 2, 1, 1), np.float32))
