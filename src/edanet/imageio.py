@@ -74,17 +74,19 @@ def _parse_netpbm_header(data: bytes, magic: bytes):
 
 
 def read_ppm(data: bytes) -> Tensor:
-    """Decode binary P6 into a (1, 3, H, W) tensor scaled to [0, 1]."""
+    """Decode binary P6 into a (1, 3, H, W) tensor scaled to [0, 1]: the
+    pixels, read in place, are divided by float32(255) straight into the
+    tensor's one array, the float32 division of their float32 values."""
     width, height, pos = _parse_netpbm_header(data, b"P6")
     need = width * height * 3
-    payload = data[pos : pos + need]
-    if len(payload) < need:
+    if len(data) - pos < need:
         raise ImageFormatError(
-            f"truncated payload: expected {need} bytes, got {len(payload)}"
+            f"truncated payload: expected {need} bytes, got {len(data) - pos}"
         )
-    pixels = np.frombuffer(payload, np.uint8).reshape(height, width, 3)
-    chw = pixels.transpose(2, 0, 1).astype(np.float32) / np.float32(255.0)
-    return Tensor(chw[None])
+    pixels = np.frombuffer(data, np.uint8, need, pos).reshape(height, width, 3)
+    chw = np.empty((1, 3, height, width), np.float32)
+    np.divide(pixels.transpose(2, 0, 1), np.float32(255.0), out=chw[0], dtype=np.float32)
+    return Tensor(chw)
 
 
 def write_ppm(image: Tensor) -> bytes:

@@ -328,10 +328,11 @@ def _bind(net: NetworkSpec, store: WeightStore) -> dict:
 def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
           out: np.ndarray | None = None) -> Tensor:
     """Run ``node`` on ``x`` with the tensors ``_bind`` checked; in a chain, a
-    convolution directly followed by a ReLU runs as one
-    ``conv2d(..., relu=True)``.  With ``out``, a channel slice of a buffer
-    starting at the result's first channel, a chain whose result a
-    convolution computes last (only dropout follows it) writes it there."""
+    convolution or a merge directly followed by a ReLU applies it in place.
+    With ``out``, a channel slice of a buffer starting at the result's first
+    channel, a node whose ``_result_step`` is a convolution or a merge
+    writes its result there: a merge's branches write their channels, a
+    convolution through ``conv2d(out=)``, any other by copying it in."""
     if isinstance(node, Chain):
         steps, fused = node.steps, False
         end = len(steps)  # past the last step that changes the result
@@ -339,13 +340,24 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
             end -= 1
         for k, (step, after) in enumerate(zip(steps, steps[1:] + (None,))):
             if not fused:
-                fused = isinstance(step, ConvStep) and isinstance(after, ReluStep)
+                fused = isinstance(step, (ConvStep, Parallel)) and isinstance(after, ReluStep)
                 x = _eval(step, x, bound, fused, out if k + 1 + fused == end else None)
-            else:  # the ReLU ran inside the convolution before it
+            else:  # the ReLU ran inside the step before it
                 fused = False
         return x
     if isinstance(node, Parallel):
-        return concat_channels(*(_eval(branch, x, bound) for branch in node.branches))
+        if out is None:
+            y = concat_channels(*(_eval(branch, x, bound) for branch in node.branches))
+            return relu(y) if fuse_relu else y
+        c = 0
+        for branch in node.branches:
+            y = _eval(branch, x, bound, out=out[:, c:])
+            if not np.may_share_memory(y.data, out):
+                out[:, c : c + y.c] = y.data
+            c += y.c
+        if fuse_relu:
+            np.maximum(out[:, :c], np.float32(0.0), out=out[:, :c])
+        return Tensor(out[:, :c])
     if isinstance(node, Residual):
         return add(x, _eval(node.body, x, bound))
     if isinstance(node, ImagePool):
@@ -374,6 +386,17 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
     raise TypeError(f"unknown node {node!r}")
 
 
+def _result_step(node):
+    """The step whose result ``node`` returns, the one ``_eval`` gives an
+    ``out``: trailing dropout and a ReLU fused into it aside."""
+    while isinstance(node, Chain) and node.steps:
+        steps = [s for s in node.steps if not isinstance(s, DropoutStep)] or node.steps
+        *_, before, node = (None, *steps)
+        if isinstance(before, (ConvStep, Parallel)) and isinstance(node, ReluStep):
+            node = before
+    return node
+
+
 def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     """Execute the network on one tensor.  Before any layer runs, the
     analyzer's pass checks every shape and ``_bind`` checks every weight
@@ -382,20 +405,34 @@ def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     final width: each layer writes its new channels after the filled
     prefix it reads.  A branch that ends in a convolution (with its fused
     ReLU) writes them in place through ``conv2d(out=)``; any other branch's
-    result is copied in."""
+    result is copied in.  The layer before a run writes its result into the
+    run's prefix if it ends in a convolution or a merge and reads no other
+    run's buffer; else the run copies its input in.  Any other layer that
+    ends in a merge writes it into a buffer of the analyzed shape."""
     report = analyze(net, input.shape[1:])
     bound = _bind(net, weights)
     dense = [isinstance(node, Parallel) and node.branches[0] == Chain([])
              for node in map(_lowered, net.layers)]
+
+    def buffer(k: int) -> np.ndarray:  # layer k's output, a dense run's at its final width
+        end = k + 1
+        while dense[k] and end < len(dense) and dense[end]:
+            end += 1
+        return np.empty((input.n, *report.layers[end - 1].out_shape), np.float32)
+
     x, stage = input, None
     for k, layer in enumerate(net.layers):
         node = expand_layer(layer)
         if not dense[k]:
-            x, stage = _eval(node, x, bound), None
+            last = _result_step(node)
+            into_run = (isinstance(last, (ConvStep, Parallel)) and stage is None
+                        and dense[k + 1 : k + 2] == [True])
+            stage = buffer(k + 1) if into_run else None  # one run's buffer at a time
+            x = _eval(node, x, bound, out=stage if into_run else
+                      buffer(k) if isinstance(last, Parallel) else None)
             continue
-        if stage is None:
-            end = next((e for e in range(k, len(dense)) if not dense[e]), len(dense))
-            stage = np.empty((x.n, report.layers[end - 1].out_shape[0], x.h, x.w), np.float32)
+        if stage is None:  # the run's input was not written into its buffer
+            stage = buffer(k)
             stage[:, : x.c] = x.data
             x = Tensor(stage[:, : x.c])  # frees the stage's input
         c = x.c

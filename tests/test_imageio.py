@@ -1,5 +1,7 @@
 """Netpbm I/O and label-map rendering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,32 @@ class TestReadPpm:
     def test_round_trip_byte_identity(self):
         data, _ = make_ppm(7, 5)
         assert write_ppm(read_ppm(data)) == data
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (5, 3), (31, 17), (1024, 512)])
+    def test_decode_is_the_float32_division_bit_for_bit(self, width, height):
+        data, px = make_ppm(width, height)
+        got = read_ppm(data).data
+        want = px.transpose(2, 0, 1).astype(np.float32) / np.float32(255)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint32), want[None].view(np.uint32))
+
+    def test_payload_is_read_in_place(self):
+        """A 512x1024 decode traced 13.5 MiB when the payload was sliced
+        out, cast, divided and made contiguous, each into a new array; it
+        now allocates only its 6 MiB output."""
+        data, _ = make_ppm(1024, 512)
+        read_ppm(data)
+        tracemalloc.start()
+        try:
+            read_ppm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 6 * 2**20 + 1.5 * 2**20
+
+    def test_bytes_past_the_payload_ignored(self):
+        data, _ = make_ppm(4, 3)
+        assert np.array_equal(read_ppm(data + b"\0\1").data, read_ppm(data).data)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ImageFormatError, match="magic"):

@@ -4,6 +4,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -381,8 +382,10 @@ class TestDenseStages:
     @pytest.mark.parametrize("n", [1, 2])
     def test_growth_is_written_in_place(self, monkeypatch, n):
         """Each folded dense module's last conv, with its ReLU, writes the
-        module's growth into the stage buffer; unfolded, a BN follows it
-        and the growth is copied in."""
+        module's growth into the stage buffer, and each folded widening
+        downsampler's conv writes its channels of the merge into the
+        layer's output; unfolded, a BN follows each of them and the
+        results are copied in."""
         net = build_variant("edanet", classes=4)
         store = init_weights(net, seed=3)
         randomize_bn(store, np.random.default_rng(4))
@@ -396,13 +399,74 @@ class TestDenseStages:
 
         monkeypatch.setattr(runtime, "conv2d", spy)
         x = rand_input(9, shape=(n, 3, 64, 128))
-        for network, weights, in_place in ((folded.net, folded.weights, 13),
+        for network, weights, in_place in ((folded.net, folded.weights, 15),
                                            (net, store, 0)):
             into.clear()
             got = forward(network, weights, x)
-            assert sum(into) == in_place  # m1_1..m1_5 and m2_1..m2_8
+            assert sum(into) == in_place  # ds1, ds2, m1_1..m1_5 and m2_1..m2_8
             want = concat_composition(network, weights, x)
             assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+    def test_folded_edanet_neither_concatenates_nor_allocates_a_relu(self, monkeypatch):
+        """Folded, each widening downsampler is a merge then a ReLU: its
+        branches write into the layer's output and the ReLU runs in place."""
+        net = build_variant("edanet", classes=4)
+        folded = fold_batch_norm(net, init_weights(net, seed=7))
+        calls = count_calls(monkeypatch, runtime, "concat_channels")
+        calls += count_calls(monkeypatch, runtime, "relu")
+        forward(folded.net, folded.weights, rand_input(shape=(1, 3, 64, 128)))
+        assert calls == []
+
+    def test_stage_input_is_written_in_place(self, monkeypatch):
+        """ds2's output is the prefix of the stage buffer m1_1 reads."""
+        net = build_variant("edanet", classes=4)
+        folded = fold_batch_norm(net, init_weights(net, seed=7))
+        ds2, m1_1 = (netdef.expand_layer(layer) for layer in folded.net.layers[1:3])
+        inner, seen = runtime._eval, {}
+
+        def spy(node, x, *args, **kwargs):
+            y = inner(node, x, *args, **kwargs)
+            if node is ds2:
+                seen["ds2"] = y
+            elif node in m1_1.branches:
+                seen.setdefault("m1_1", x)
+            return y
+
+        monkeypatch.setattr(runtime, "_eval", spy)
+        forward(folded.net, folded.weights, rand_input(shape=(1, 3, 64, 128)))
+        made, read = seen["ds2"].data, seen["m1_1"].data
+        assert np.shares_memory(made, read)
+        assert (made.shape, made.ctypes.data) == (read.shape, read.ctypes.data)
+        assert read.base.shape == (1, 260, 16, 32)  # the stage at m1_5's width
+
+    @pytest.mark.parametrize("variant", ["edanet", "densedown"])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_one_stage_buffer_at_a_time(self, monkeypatch, variant, fold):
+        """The layer between two dense runs reads the first run's buffer,
+        so the second run's buffer is made only once it has run."""
+        net = build_variant(variant, classes=4)
+        store = init_weights(net, seed=7)
+        if fold:
+            folded = fold_batch_norm(net, store)
+            net, store = folded.net, folded.weights
+        report = analyze(net, (3, 64, 128))
+        stages = {(1, *report.layers[k].out_shape) for k in range(len(net.layers) - 1)
+                  if isinstance(netdef.expand_layer(net.layers[k]), blocks.Parallel)
+                  and not isinstance(netdef.expand_layer(net.layers[k + 1]), blocks.Parallel)}
+        inner, buffers, live = runtime._eval, [], []
+
+        def spy(node, x, bound, fuse_relu=False, out=None):
+            for arr in (x.data, out):
+                root = arr if arr is None or arr.base is None else arr.base
+                if root is not None and root.shape in stages and all(
+                        b() is not root for b in buffers):
+                    buffers.append(weakref.ref(root))
+            live.append(sum(b() is not None for b in buffers))
+            return inner(node, x, bound, fuse_relu, out)
+
+        monkeypatch.setattr(runtime, "_eval", spy)
+        forward(net, store, rand_input(shape=(1, 3, 64, 128)))
+        assert len(stages) == len(buffers) == 2 and max(live) == 1
 
     def test_aspp_concatenates_its_branches_once(self, monkeypatch):
         net = NetworkSpec("a", 2, [LayerSpec("aspp", "a", in_ch=3, branch_ch=4)])
