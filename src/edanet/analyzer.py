@@ -203,6 +203,8 @@ def analyze(net: NetworkSpec, input_shape: tuple = (3, 512, 1024)) -> AnalysisRe
     """Full static pass: per-layer shape, params, multiply-adds, and
     receptive field for the given input (channels, h, w).  ``forward``
     runs this pass before any layer, so every shape error surfaces here."""
+    if min(input_shape) < 1:
+        raise ShapeError(f"input dimensions must be >= 1, got {tuple(input_shape)}")
     return _analyze(net, tuple(input_shape))
 
 
@@ -297,50 +299,24 @@ def _shape_str(shape) -> str:
 
 
 def render_report(report: AnalysisReport, format: str = "table") -> str:
-    """Deterministic text rendering; CSV rows are
-    layer,out_shape,params,macs,rf_h,rf_w with a totals row last."""
-    layers = report.layers
-    final_shape = _shape_str(layers[-1].out_shape) if layers else "-"
-    final_rf_h = str(layers[-1].rf_h) if layers else "0"
-    final_rf_w = str(layers[-1].rf_w) if layers else "0"
-    if format == "csv":
-        rows = ["layer,out_shape,params,macs,rf_h,rf_w"]
-        for l in layers:
-            rows.append(
-                f"{l.name},{_shape_str(l.out_shape)},{l.params},"
-                f"{l.multiply_adds},{l.rf_h},{l.rf_w}"
-            )
-        rows.append(
-            f"total,{final_shape},{report.total_params},"
-            f"{report.total_multiply_adds},{final_rf_h},{final_rf_w}"
-        )
-        return "\n".join(rows) + "\n"
-    if format != "table":
+    """Deterministic text rendering; CSV rows are the table's first six
+    columns, layer,out_shape,params,macs,rf_h,rf_w, with a totals row last."""
+    if format not in ("table", "csv"):
         raise ValueError(f"unknown report format {format!r}")
-
-    header = ["layer", "out_shape", "params", "macs", "rf_h", "rf_w", "eff_k"]
-    body = []
-    for l in layers:
-        body.append([
-            l.name,
-            _shape_str(l.out_shape),
-            str(l.params),
-            str(l.multiply_adds),
-            str(l.rf_h),
-            str(l.rf_w),
-            str(l.effective_kernel) if l.effective_kernel else "-",
-        ])
-    body.append([
-        "total", final_shape, str(report.total_params),
-        str(report.total_multiply_adds), final_rf_h, final_rf_w, "-",
+    layers = report.layers
+    rows = [["layer", "out_shape", "params", "macs", "rf_h", "rf_w", "eff_k"]]
+    rows += [[l.name, _shape_str(l.out_shape), str(l.params), str(l.multiply_adds),
+              str(l.rf_h), str(l.rf_w), str(l.effective_kernel or "-")] for l in layers]
+    rows.append([
+        "total", _shape_str(layers[-1].out_shape) if layers else "-",
+        str(report.total_params), str(report.total_multiply_adds),
+        str(layers[-1].rf_h) if layers else "0", str(layers[-1].rf_w) if layers else "0", "-",
     ])
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = [
-        f"network {report.network}  input {_shape_str(report.input_shape)}"
-    ]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
-    for row in body:
-        lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(row)))
+    if format == "csv":
+        return "".join(",".join(row[:6]) + "\n" for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = [f"network {report.network}  input {_shape_str(report.input_shape)}"]
+    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
     lines.append(
         f"params {format_quantity(report.total_params)}  "
         f"multiply-adds {format_quantity(report.total_multiply_adds)}"

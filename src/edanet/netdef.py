@@ -595,27 +595,6 @@ def _lowered(layer: LayerSpec) -> Node:
 
 def _unfolded_tree(layer: LayerSpec) -> Node:
     kind, name = layer.kind, layer.name
-    if kind == "conv":
-        steps: list = [ConvStep(
-            f"{name}.conv", layer.in_ch, layer.out_ch, layer.kh, layer.kw,
-            stride=layer.stride, dilation=layer.dilation,
-            pad_h=layer.pad_h, pad_w=layer.pad_w, bias=not layer.bn,
-        )]
-        if layer.bn:
-            steps.append(BnStep(f"{name}.bn", layer.out_ch))
-        if layer.act:
-            steps.append(ReluStep())
-        return Chain(steps)
-    if kind == "deconv":
-        steps = [DeconvStep(
-            f"{name}.deconv", layer.in_ch, layer.out_ch, layer.k, layer.stride,
-            bias=not layer.bn,
-        )]
-        if layer.bn:
-            steps.append(BnStep(f"{name}.bn", layer.out_ch))
-        if layer.act:
-            steps.append(ReluStep())
-        return Chain(steps)
     if kind == "maxpool":
         return Chain([MaxPoolStep(layer.k, layer.stride, layer.pad)])
     if kind == "avgpool":
@@ -634,7 +613,21 @@ def _unfolded_tree(layer: LayerSpec) -> Node:
         return blocks.make_projection(layer.in_ch, layer.classes, name=name)
     if kind == "bilinear":
         return Chain([UpsampleStep(layer.factor)])
-    raise ValueError(f"unknown layer kind {kind!r}")
+    if kind == "conv":
+        step = ConvStep(f"{name}.conv", layer.in_ch, layer.out_ch, layer.kh, layer.kw,
+                        stride=layer.stride, dilation=layer.dilation,
+                        pad_h=layer.pad_h, pad_w=layer.pad_w, bias=not layer.bn)
+    elif kind == "deconv":
+        step = DeconvStep(f"{name}.deconv", layer.in_ch, layer.out_ch, layer.k,
+                          layer.stride, bias=not layer.bn)
+    else:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    steps = [step]
+    if layer.bn:
+        steps.append(BnStep(f"{name}.bn", layer.out_ch))
+    if layer.act:
+        steps.append(ReluStep())
+    return Chain(steps)
 
 
 def fold_layer(layer: LayerSpec) -> LayerSpec:

@@ -329,19 +329,17 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
           out: np.ndarray | None = None) -> Tensor:
     """Run ``node`` on ``x`` with the tensors ``_bind`` checked; in a chain, a
     convolution or a merge directly followed by a ReLU applies it in place.
-    With ``out``, a channel slice of a buffer starting at the result's first
-    channel, a node whose ``_result_step`` is a convolution or a merge
-    writes its result there: a merge's branches write their channels, a
-    convolution through ``conv2d(out=)``, any other by copying it in."""
+    With ``out``, a buffer starting at the result's first channel, the
+    chain step ``_result_index`` picks gets it: a convolution writes
+    through ``conv2d(out=)``, a merge's branches write their channels, and
+    any other branch result is copied in."""
     if isinstance(node, Chain):
         steps, fused = node.steps, False
-        end = len(steps)  # past the last step that changes the result
-        while out is not None and end and isinstance(steps[end - 1], DropoutStep):
-            end -= 1
+        end = -1 if out is None else _result_index(steps)
         for k, (step, after) in enumerate(zip(steps, steps[1:] + (None,))):
             if not fused:
                 fused = isinstance(step, (ConvStep, Parallel)) and isinstance(after, ReluStep)
-                x = _eval(step, x, bound, fused, out if k + 1 + fused == end else None)
+                x = _eval(step, x, bound, fused, out if k == end else None)
             else:  # the ReLU ran inside the step before it
                 fused = False
         return x
@@ -386,63 +384,61 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
     raise TypeError(f"unknown node {node!r}")
 
 
+def _result_index(steps) -> int:
+    """The index of the step whose result a chain of ``steps`` returns:
+    the last one that is not dropout, or the convolution or merge whose
+    ReLU it is; -1 if there is none."""
+    k = len(steps) - 1
+    while k >= 0 and isinstance(steps[k], DropoutStep):
+        k -= 1
+    if k > 0 and isinstance(steps[k], ReluStep) and isinstance(steps[k - 1], (ConvStep, Parallel)):
+        k -= 1
+    return k
+
+
 def _result_step(node):
-    """The step whose result ``node`` returns, the one ``_eval`` gives an
-    ``out``: trailing dropout and a ReLU fused into it aside."""
+    """The step whose result ``node`` returns, the one ``_eval`` gives an ``out``."""
     while isinstance(node, Chain) and node.steps:
-        steps = [s for s in node.steps if not isinstance(s, DropoutStep)] or node.steps
-        *_, before, node = (None, *steps)
-        if isinstance(before, (ConvStep, Parallel)) and isinstance(node, ReluStep):
-            node = before
+        node = node.steps[_result_index(node.steps)]
     return node
 
 
 def forward(net: NetworkSpec, weights: WeightStore, input: Tensor) -> Tensor:
     """Execute the network on one tensor.  Before any layer runs, the
     analyzer's pass checks every shape and ``_bind`` checks every weight
-    (each stored tensor must be consumed).  A run of dense layers (a ``Parallel``
-    whose first branch is the identity) grows in one buffer at the run's
-    final width: each layer writes its new channels after the filled
-    prefix it reads.  A branch that ends in a convolution (with its fused
-    ReLU) writes them in place through ``conv2d(out=)``; any other branch's
-    result is copied in.  The layer before a run writes its result into the
-    run's prefix if it ends in a convolution or a merge and reads no other
-    run's buffer; else the run copies its input in.  Any other layer that
-    ends in a merge writes it into a buffer of the analyzed shape."""
+    (each stored tensor must be consumed).  A layer that ends in a
+    convolution or a merge writes into the buffer its reader reads: a run
+    of dense layers (a ``Parallel`` whose first branch is the identity)
+    grows in one buffer at the run's final width, which the layer before
+    the run writes its result into unless it reads another run's buffer,
+    and any other merge writes into a buffer of its own; any other result
+    is copied in."""
     report = analyze(net, input.shape[1:])
     bound = _bind(net, weights)
     dense = [isinstance(node, Parallel) and node.branches[0] == Chain([])
-             for node in map(_lowered, net.layers)]
+             for node in map(_lowered, net.layers)] + [False]
 
     def buffer(k: int) -> np.ndarray:  # layer k's output, a dense run's at its final width
         end = k + 1
-        while dense[k] and end < len(dense) and dense[end]:
+        while dense[k] and dense[end]:
             end += 1
         return np.empty((input.n, *report.layers[end - 1].out_shape), np.float32)
 
     x, stage = input, None
     for k, layer in enumerate(net.layers):
         node = expand_layer(layer)
-        if not dense[k]:
-            last = _result_step(node)
-            into_run = (isinstance(last, (ConvStep, Parallel)) and stage is None
-                        and dense[k + 1 : k + 2] == [True])
-            stage = buffer(k + 1) if into_run else None  # one run's buffer at a time
-            x = _eval(node, x, bound, out=stage if into_run else
-                      buffer(k) if isinstance(last, Parallel) else None)
+        if dense[k]:
+            if stage is None:  # the run's input was not written into its buffer
+                stage = buffer(k)
+                stage[:, : x.c] = x.data
+                x = Tensor(stage[:, : x.c])  # frees the run's input
+            x = _eval(node, x, bound, out=stage)
             continue
-        if stage is None:  # the run's input was not written into its buffer
-            stage = buffer(k)
-            stage[:, : x.c] = x.data
-            x = Tensor(stage[:, : x.c])  # frees the stage's input
-        c = x.c
-        for branch in node.branches[1:]:
-            y = _eval(branch, x, bound, out=stage[:, c:])
-            if not np.may_share_memory(y.data, stage):
-                stage[:, c : c + y.c] = y.data
-            c += y.c
-        del y  # no growth outlives its layer
-        x = Tensor(stage[:, :c])
+        last = _result_step(node)
+        into_run = dense[k + 1] and stage is None and isinstance(last, (ConvStep, Parallel))
+        stage = buffer(k + 1) if into_run else None  # one run's buffer at a time
+        x = _eval(node, x, bound, out=stage if into_run else
+                  buffer(k) if isinstance(last, Parallel) else None)
     return x
 
 

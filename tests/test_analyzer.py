@@ -90,6 +90,14 @@ class TestTraceShapes:
         with pytest.raises(ShapeError, match="layer 'c': c.conv: non-positive output extent"):
             analyze(net, (3, 1, 1))
 
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 4), (3, 4, -1)],
+                             ids=["zero_channels", "zero_height", "negative_width"])
+    def test_non_positive_input_rejected(self, shape):
+        """A resize alone accepts any extent, so the input is checked first."""
+        net = NetworkSpec("up", 3, [LayerSpec("bilinear", "up", factor=2)])
+        with pytest.raises(ShapeError, match=r"input dimensions must be >= 1, got \("):
+            analyze(net, shape)
+
 
 class TestCountParams:
     def test_single_biased_conv(self):

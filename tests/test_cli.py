@@ -251,6 +251,12 @@ class TestExitCodes:
         bad.write_text("net name=x classes=2\neda name=m in=60\n")
         assert run("analyze", "--net", bad) == 4
 
+    def test_non_positive_input_size_is_validation_error(self, workdir, capsys):
+        net = workdir / "up.nspec"
+        net.write_text("net name=up classes=3\nbilinear name=up factor=2\n")
+        assert run("analyze", "--net", net, "--input-size", "0x8") == 4
+        assert "input dimensions must be >= 1" in capsys.readouterr().err
+
     def test_name_too_long_for_the_weight_file_writes_nothing(self, workdir, capsys):
         net, w = workdir / "net.nspec", workdir / "w.edaw"
         net.write_text(f"net name=x classes=2\ndownsample name={'d' * 70000} in=3 out=8\n")

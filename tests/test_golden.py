@@ -57,6 +57,17 @@ GOLDEN = {
     ),
 }
 
+# variant -> sha256 of analyze --format table
+GOLDEN_TABLE = {
+    "edanet": "b80643e1809eba32d3cc63c8868058b4b43349770e28168af6bf332ac7d22d03",
+    "non_asym": "12231e8450619f0d883b86771c68f676e3616dfff86212616cd10f0e896031ba",
+    "non_dense": "c221f760e29509d30a8ae75e5510cc1192be8c111de9630a1332f1d7f1293b0b",
+    "shallow": "cd9b2869c7f6bbf6b3c82cda9b694d8ebdd7471420e3e1a4b65dbc10d8a56d48",
+    "aspp": "8b436085730a62f090a381e6b87c1c92130844e16a8a173aca82eb979b2c60b8",
+    "erfdec": "05f32ecc93f9189affe96295c7997b35514a82a76c7f3c69c6706898f9cadc2e",
+    "densedown": "f762d8ac287e52ca2a09fa62dca94ce46c3e507c7d4bad644af380b38ab7cb87",
+}
+
 _BN_SUFFIXES = (".gamma", ".beta", ".mean", ".var")
 
 
@@ -93,3 +104,12 @@ def _digests(variant, tmp_path):
 @pytest.mark.parametrize("variant", netdef.VARIANTS)
 def test_cli_outputs_are_byte_identical(variant, tmp_path):
     assert _digests(variant, tmp_path) == GOLDEN[variant]
+
+
+@pytest.mark.parametrize("variant", netdef.VARIANTS)
+def test_analyze_table_is_byte_identical(variant, tmp_path):
+    nspec, table = tmp_path / "net.nspec", tmp_path / "report.txt"
+    assert main(["build", "--variant", variant, "--out", str(nspec)]) == 0
+    assert main(["analyze", "--net", str(nspec), "--format", "table",
+                 "--out", str(table)]) == 0
+    assert _sha(table) == GOLDEN_TABLE[variant]

@@ -439,6 +439,40 @@ class TestDenseStages:
         assert (made.shape, made.ctypes.data) == (read.shape, read.ctypes.data)
         assert read.base.shape == (1, 260, 16, 32)  # the stage at m1_5's width
 
+    @pytest.mark.parametrize("variant", netdef.VARIANTS)
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_handed_buffer_holds_its_layers_result(self, monkeypatch, variant, fold, n):
+        """Each layer ``forward`` hands a buffer, every dense layer among
+        them, returns a view of its leading channels.  Where a batch's
+        channel prefix is not contiguous, ``Tensor`` copies it, and the
+        buffer holds the same bytes."""
+        net = build_variant(variant, classes=19)
+        store = init_weights(net, seed=3)
+        randomize_bn(store, np.random.default_rng(4))
+        if fold:
+            folded = fold_batch_norm(net, store)
+            net, store = folded.net, folded.weights
+        names = {id(netdef.expand_layer(layer)): layer.name for layer in net.layers}
+        inner, handed = runtime._eval, []
+
+        def spy(node, x, bound, fuse_relu=False, out=None):
+            y = inner(node, x, bound, fuse_relu, out)
+            if out is not None and id(node) in names:
+                handed.append(names[id(node)])
+                lead = out[:, : y.c]
+                assert np.array_equal(lead.view(np.uint32), y.data.view(np.uint32))
+                if lead.flags.c_contiguous:
+                    assert (y.data.shape, y.data.ctypes.data) == (lead.shape, lead.ctypes.data)
+            return y
+
+        monkeypatch.setattr(runtime, "_eval", spy)
+        forward(net, store, rand_input(5, shape=(n, 3, 64, 128)))
+        dense = {layer.name for layer in net.layers
+                 if isinstance(node := netdef.expand_layer(layer), blocks.Parallel)
+                 and node.branches[0] == Chain([])}
+        assert dense <= set(handed) and len(handed) == len(set(handed))
+
     @pytest.mark.parametrize("variant", ["edanet", "densedown"])
     @pytest.mark.parametrize("fold", [False, True])
     def test_one_stage_buffer_at_a_time(self, monkeypatch, variant, fold):
