@@ -25,7 +25,6 @@ from .blocks import (
     Chain,
     ConvStep,
     DeconvStep,
-    DropoutStep,
     ImagePool,
     MaxPoolStep,
     Parallel,
@@ -80,23 +79,6 @@ class AnalysisReport:
 
 
 @dataclass
-class _RfState:
-    rf_h: Fraction
-    rf_w: Fraction
-    jump_h: Fraction
-    jump_w: Fraction
-
-    def copy(self) -> "_RfState":
-        return _RfState(self.rf_h, self.rf_w, self.jump_h, self.jump_w)
-
-    def grow(self, k_h: int, k_w: int, stride_h: Fraction, stride_w: Fraction):
-        self.rf_h += (k_h - 1) * self.jump_h
-        self.rf_w += (k_w - 1) * self.jump_w
-        self.jump_h *= stride_h
-        self.jump_w *= stride_w
-
-
-@dataclass
 class _Acc:
     params: int = 0
     macs: int = 0
@@ -129,32 +111,31 @@ def _learned_params(prim) -> int:
     )
 
 
-def _walk(node, shape, rf: _RfState, acc: _Acc):
-    """Advance (shape, rf) through a node, accumulating params/macs."""
+def _grow(rf: tuple, k_h: int, k_w: int, stride_h, stride_w) -> tuple:
+    """``rf`` = (rf_h, rf_w, jump_h, jump_w) after a k_h x k_w window."""
+    rf_h, rf_w, jump_h, jump_w = rf
+    return (rf_h + (k_h - 1) * jump_h, rf_w + (k_w - 1) * jump_w,
+            jump_h * stride_h, jump_w * stride_w)
+
+
+def _walk(node, shape, rf: tuple, acc: _Acc):
+    """Advance (shape, rf) through a node, accumulating params/macs; ``rf``
+    is (rf_h, rf_w, jump_h, jump_w), and a merge takes its elementwise max."""
     c, h, w = shape
     if isinstance(node, Chain):
         for item in node.steps:
             shape, rf = _walk(item, shape, rf, acc)
         return shape, rf
     if isinstance(node, Parallel):
-        results = []
-        for branch in node.branches:
-            results.append(_walk(branch, shape, rf.copy(), acc))
-        out_c = sum(s[0] for s, _ in results)
-        (_, out_h, out_w), merged = results[0]
-        merged.rf_h = max(r.rf_h for _, r in results)
-        merged.rf_w = max(r.rf_w for _, r in results)
-        return (out_c, out_h, out_w), merged
+        shapes, rfs = zip(*(_walk(branch, shape, rf, acc) for branch in node.branches))
+        _, out_h, out_w = shapes[0]
+        return (sum(s[0] for s in shapes), out_h, out_w), tuple(map(max, zip(*rfs)))
     if isinstance(node, Residual):
-        _, merged = _walk(node.body, shape, rf.copy(), acc)
-        merged.rf_h = max(merged.rf_h, rf.rf_h)
-        merged.rf_w = max(merged.rf_w, rf.rf_w)
-        return shape, merged
+        _, body = _walk(node.body, shape, rf, acc)
+        return shape, tuple(map(max, body, rf))
     if isinstance(node, ImagePool):
-        rf.grow(h, w, Fraction(h), Fraction(w))
-        (c, ph, pw), rf = _walk(node.body, (c, 1, 1), rf, acc)
-        rf.grow(2, 2, Fraction(ph, h), Fraction(pw, w))
-        return (c, h, w), rf
+        (c, ph, pw), rf = _walk(node.body, (c, 1, 1), _grow(rf, h, w, h, w), acc)
+        return (c, h, w), _grow(rf, 2, 2, Fraction(ph, h), Fraction(pw, w))
 
     acc.params += _learned_params(node)
     if isinstance(node, (ConvStep, DeconvStep)) and c != node.in_ch:
@@ -168,34 +149,31 @@ def _walk(node, shape, rf: _RfState, acc: _Acc):
         acc.macs += node.kh * node.kw * node.in_ch * node.out_ch * oh * ow
         if node.dilation > 1:
             acc.note_dilated(max(ekh, ekw))
-        rf.grow(ekh, ekw, Fraction(node.stride), Fraction(node.stride))
-        return (node.out_ch, oh, ow), rf
+        return (node.out_ch, oh, ow), _grow(rf, ekh, ekw, node.stride, node.stride)
     if isinstance(node, DeconvStep):
         oh = (h - 1) * node.stride + node.k
         ow = (w - 1) * node.stride + node.k
         acc.macs += node.k * node.k * node.in_ch * node.out_ch * h * w
-        rf.grow(node.k, node.k, Fraction(1, node.stride), Fraction(1, node.stride))
-        return (node.out_ch, oh, ow), rf
+        jump = Fraction(1, node.stride)
+        return (node.out_ch, oh, ow), _grow(rf, node.k, node.k, jump, jump)
     if isinstance(node, (BnStep, AffineStep)):
         acc.macs += node.channels * h * w
         return shape, rf
-    if isinstance(node, (ReluStep, DropoutStep)):
+    if isinstance(node, ReluStep):
         return shape, rf
     if isinstance(node, MaxPoolStep):
         _check_stride(h, w, node.stride, "maxpool")
         oh = _conv_out(h, node.k, node.stride, node.pad, "maxpool")
         ow = _conv_out(w, node.k, node.stride, node.pad, "maxpool")
-        rf.grow(node.k, node.k, Fraction(node.stride), Fraction(node.stride))
-        return (c, oh, ow), rf
+        return (c, oh, ow), _grow(rf, node.k, node.k, node.stride, node.stride)
     if isinstance(node, AvgPoolStep):
         _check_stride(h, w, node.stride, "avgpool")
         oh = _conv_out(h, node.k, node.stride, 0, "avgpool")
         ow = _conv_out(w, node.k, node.stride, 0, "avgpool")
-        rf.grow(node.k, node.k, Fraction(node.stride), Fraction(node.stride))
-        return (c, oh, ow), rf
+        return (c, oh, ow), _grow(rf, node.k, node.k, node.stride, node.stride)
     if isinstance(node, UpsampleStep):
-        rf.grow(2, 2, Fraction(1, node.factor), Fraction(1, node.factor))
-        return (c, h * node.factor, w * node.factor), rf
+        jump = Fraction(1, node.factor)
+        return (c, h * node.factor, w * node.factor), _grow(rf, 2, 2, jump, jump)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -213,7 +191,7 @@ def _analyze(net: NetworkSpec, input_shape: tuple) -> AnalysisReport:
     """``analyze``, computed once per (network, input shape); both hash by
     value and the report is immutable."""
     shape = input_shape
-    rf = _RfState(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+    rf = (Fraction(1),) * 4
     reports = []
     total_params = 0
     total_macs = 0
@@ -231,8 +209,8 @@ def _analyze(net: NetworkSpec, input_shape: tuple) -> AnalysisReport:
                 out_shape=shape,
                 params=acc.params,
                 multiply_adds=acc.macs,
-                rf_h=_num(rf.rf_h),
-                rf_w=_num(rf.rf_w),
+                rf_h=_num(rf[0]),
+                rf_w=_num(rf[1]),
                 effective_kernel=acc.eff_kernel,
             )
         )

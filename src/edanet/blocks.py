@@ -6,7 +6,8 @@ projection) into a tree of primitive steps.  The tree is what the analyzer
 walks and the executor interprets; its leaves carry the names under which
 weights live in a WeightStore (``<block>.<step>.<param>``).  ``param_shapes``
 lists the tensors each leaf reads, and ``fold_bn`` rewrites a tree into its
-BN-folded form.
+BN-folded form.  The EDA, non-asymmetric and ERF modules end in dropout
+(rate 0.02) while training; the inference tree leaves it out.
 
 Structure nodes:
 
@@ -30,7 +31,6 @@ __all__ = [
     "BnStep",
     "AffineStep",
     "ReluStep",
-    "DropoutStep",
     "MaxPoolStep",
     "AvgPoolStep",
     "UpsampleStep",
@@ -49,13 +49,10 @@ __all__ = [
     "make_aspp",
     "make_projection",
     "GROWTH_RATE",
-    "DROPOUT_RATE",
 ]
 
-# Architecture-wide constants: growth rate of the dense modules and the
-# (training-only) dropout rate carried in block metadata.
+# Growth rate of the dense modules.
 GROWTH_RATE = 40
-DROPOUT_RATE = 0.02
 
 
 @dataclass(frozen=True)
@@ -100,13 +97,6 @@ class AffineStep:
 @dataclass(frozen=True)
 class ReluStep:
     pass
-
-
-@dataclass(frozen=True)
-class DropoutStep:
-    """Training-only regularization marker; identity at inference."""
-
-    rate: float
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ class ImagePool:
 
 Node = Union[
     Chain, Parallel, Residual, ImagePool,
-    ConvStep, DeconvStep, BnStep, AffineStep, ReluStep, DropoutStep,
+    ConvStep, DeconvStep, BnStep, AffineStep, ReluStep,
     MaxPoolStep, AvgPoolStep, UpsampleStep,
 ]
 
@@ -313,7 +303,6 @@ def make_eda_module(in_ch: int, growth: int, dilation: int, name: str = "eda") -
         + _conv_bn_relu(name, "conv1x3a", "bn3", g, g, 1, 3)
         + _conv_bn_relu(name, "conv3x1b", "bn4", g, g, 3, 1, dilation=dilation)
         + _conv_bn_relu(name, "conv1x3b", "bn5", g, g, 1, 3, dilation=dilation)
-        + [DropoutStep(DROPOUT_RATE)]
     )
     return Parallel([Chain([]), Chain(steps)])
 
@@ -327,7 +316,6 @@ def make_non_asym_module(in_ch: int, growth: int, dilation: int, name: str = "ed
         _conv_bn_relu(name, "conv1x1", "bn1", in_ch, g, 1, 1)
         + _conv_bn_relu(name, "conv3x3a", "bn2", g, g, 3, 3)
         + _conv_bn_relu(name, "conv3x3b", "bn3", g, g, 3, 3, dilation=dilation)
-        + [DropoutStep(DROPOUT_RATE)]
     )
     return Parallel([Chain([]), Chain(steps)])
 
@@ -341,7 +329,6 @@ def make_erf_module(width: int, dilation: int, name: str = "erf") -> Node:
         + _conv_bn_relu(name, "conv1x3a", "bn2", width, width, 1, 3)
         + _conv_bn_relu(name, "conv3x1b", "bn3", width, width, 3, 1, dilation=dilation)
         + _conv_bn_relu(name, "conv1x3b", "bn4", width, width, 1, 3, dilation=dilation)
-        + [DropoutStep(DROPOUT_RATE)]
     )
     return Chain([Residual(Chain(steps)), ReluStep()])
 

@@ -595,7 +595,9 @@ def _lowered(layer: LayerSpec) -> Node:
 
 def _unfolded_tree(layer: LayerSpec) -> Node:
     kind, name = layer.kind, layer.name
-    if kind == "maxpool":
+    if kind == "maxpool":  # a window wholly in the padding would be -inf
+        if layer.pad >= layer.k:
+            raise ValueError(f"maxpool: pad {layer.pad} must be below k {layer.k}")
         return Chain([MaxPoolStep(layer.k, layer.stride, layer.pad)])
     if kind == "avgpool":
         return Chain([AvgPoolStep(layer.k, layer.stride)])

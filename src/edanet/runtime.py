@@ -27,7 +27,6 @@ from .blocks import (
     Chain,
     ConvStep,
     DeconvStep,
-    DropoutStep,
     FoldError,
     ImagePool,
     MaxPoolStep,
@@ -373,8 +372,6 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
         return channel_affine(x, *bound[node.name])
     if isinstance(node, ReluStep):
         return relu(x)
-    if isinstance(node, DropoutStep):
-        return x
     if isinstance(node, MaxPoolStep):
         return max_pool2d(x, node.k, node.stride, node.pad)
     if isinstance(node, AvgPoolStep):
@@ -386,11 +383,9 @@ def _eval(node, x: Tensor, bound: dict, fuse_relu: bool = False,
 
 def _result_index(steps) -> int:
     """The index of the step whose result a chain of ``steps`` returns:
-    the last one that is not dropout, or the convolution or merge whose
-    ReLU it is; -1 if there is none."""
+    the last one, or the convolution or merge whose ReLU it is; -1 if
+    there is none."""
     k = len(steps) - 1
-    while k >= 0 and isinstance(steps[k], DropoutStep):
-        k -= 1
     if k > 0 and isinstance(steps[k], ReluStep) and isinstance(steps[k - 1], (ConvStep, Parallel)):
         k -= 1
     return k

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from edanet import blocks
 from edanet.blocks import (
     BnStep,
     ConvStep,
@@ -192,9 +191,3 @@ class TestBlockInvariants:
         pair = 3 * width * width + 3 * width * width
         full = 9 * width * width
         assert pair * 3 == full * 2  # pair == (2/3) * full, in integers
-
-    def test_dropout_marker_present_with_rate(self):
-        for maker in (make_eda_module, make_non_asym_module):
-            drops = [p for p in iter_prims(maker(60, 40, 1))
-                     if isinstance(p, blocks.DropoutStep)]
-            assert [d.rate for d in drops] == [0.02]

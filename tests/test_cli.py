@@ -257,6 +257,13 @@ class TestExitCodes:
         assert run("analyze", "--net", net, "--input-size", "0x8") == 4
         assert "input dimensions must be >= 1" in capsys.readouterr().err
 
+    def test_max_pool_padding_at_its_kernel_is_validation_error(self, workdir, capsys):
+        net = workdir / "pool.nspec"
+        net.write_text("net name=x classes=2\nmaxpool name=p k=2 stride=2 pad=2\n")
+        assert run("analyze", "--net", net) == 4
+        err = capsys.readouterr().err
+        assert "line 2, col 1: layer 'p': maxpool: pad 2 must be below k 2" in err
+
     def test_name_too_long_for_the_weight_file_writes_nothing(self, workdir, capsys):
         net, w = workdir / "net.nspec", workdir / "w.edaw"
         net.write_text(f"net name=x classes=2\ndownsample name={'d' * 70000} in=3 out=8\n")

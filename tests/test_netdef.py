@@ -292,6 +292,16 @@ class TestNetworkSpecValidation:
         with pytest.raises(NetspecError, match=message):
             NetworkSpec("demo", 2, [layer])
 
+    @pytest.mark.parametrize("k, pad", [(2, 2), (1, 1)])
+    def test_max_pool_padding_must_be_below_its_kernel(self, k, pad):
+        """At ``pad >= k`` a border window lies wholly in the padding, and
+        its output would be ``-inf``."""
+        message = f"layer 'p': maxpool: pad {pad} must be below k {k}"
+        with pytest.raises(NetspecError, match=f"line 2, col 1: {message}"):
+            parse_netspec(f"net name=demo classes=2\nmaxpool name=p k={k} stride=2 pad={pad}\n")
+        with pytest.raises(NetspecError, match=message):
+            NetworkSpec("demo", 2, [LayerSpec("maxpool", "p", k=k, stride=2, pad=pad)])
+
     @pytest.mark.parametrize("name", ["", "a b", "a#b", "a\tb", "a\nb"])
     def test_name_the_text_format_cannot_hold_is_rejected(self, name):
         with pytest.raises(NetspecError, match="name expects"):

@@ -188,6 +188,13 @@ class TestForward:
         got = forward(net, store, x)
         assert np.array_equal(got.data, want.data)
 
+    def test_max_pool_padding_below_its_kernel_stays_finite(self):
+        """Each window of a pool whose padding is below its kernel holds
+        one input pixel at least."""
+        net = parse_netspec("net name=p classes=3\nmaxpool name=p k=3 stride=2 pad=2\n")
+        y = forward(net, WeightStore(), rand_input(4, shape=(1, 3, 4, 4), lo=-1.0))
+        assert y.shape == (1, 3, 3, 3) and np.isfinite(y.data).all()
+
     def test_aspp_image_pool_branch(self):
         """The pyramid's fifth branch averages the whole plane, runs
         conv1x1 + BN + ReLU on the 1x1 result and resizes it back to the
