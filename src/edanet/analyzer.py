@@ -31,10 +31,8 @@ from .blocks import (
     ReluStep,
     Residual,
     UpsampleStep,
-    iter_prims,
-    param_shapes,
 )
-from .netdef import NetworkSpec, expand_layer
+from .netdef import NetworkSpec, _layer_params, _param_table, expand_layer
 from .tensorops import ShapeError
 
 __all__ = [
@@ -78,17 +76,6 @@ class AnalysisReport:
     total_multiply_adds: int
 
 
-@dataclass
-class _Acc:
-    params: int = 0
-    macs: int = 0
-    eff_kernel: int | None = None
-
-    def note_dilated(self, eff: int):
-        if self.eff_kernel is None or eff > self.eff_kernel:
-            self.eff_kernel = eff
-
-
 def _conv_out(size: int, k_eff: int, stride: int, pad: int, what: str) -> int:
     out = (size + 2 * pad - k_eff) // stride + 1
     if out < 1:
@@ -103,12 +90,11 @@ def _check_stride(h: int, w: int, stride: int, what: str) -> None:
         raise ShapeError(f"{what}: spatial dims {h}x{w} not divisible by stride {stride}")
 
 
-def _learned_params(prim) -> int:
-    """Learned parameters of one step; BN running statistics are buffers."""
-    return sum(
-        math.prod(shape) for suffix, shape in param_shapes(prim)
-        if suffix not in ("mean", "var")
-    )
+def _learned(entries) -> int:
+    """Learned parameters of parameter-table entries; BN running statistics
+    are buffers."""
+    return sum(math.prod(shape) for _, name, shape in entries
+               if not name.endswith((".mean", ".var")))
 
 
 def _grow(rf: tuple, k_h: int, k_w: int, stride_h, stride_w) -> tuple:
@@ -118,26 +104,29 @@ def _grow(rf: tuple, k_h: int, k_w: int, stride_h, stride_w) -> tuple:
             jump_h * stride_h, jump_w * stride_w)
 
 
-def _walk(node, shape, rf: tuple, acc: _Acc):
-    """Advance (shape, rf) through a node, accumulating params/macs; ``rf``
-    is (rf_h, rf_w, jump_h, jump_w), and a merge takes its elementwise max."""
+def _walk(node, shape, rf: tuple):
+    """(shape, rf, multiply-adds) after a node; ``rf`` is (rf_h, rf_w,
+    jump_h, jump_w), and a merge takes its elementwise max and sums its
+    branches' multiply-adds."""
     c, h, w = shape
     if isinstance(node, Chain):
+        macs = 0
         for item in node.steps:
-            shape, rf = _walk(item, shape, rf, acc)
-        return shape, rf
+            shape, rf, step_macs = _walk(item, shape, rf)
+            macs += step_macs
+        return shape, rf, macs
     if isinstance(node, Parallel):
-        shapes, rfs = zip(*(_walk(branch, shape, rf, acc) for branch in node.branches))
+        shapes, rfs, macs = zip(*(_walk(branch, shape, rf) for branch in node.branches))
         _, out_h, out_w = shapes[0]
-        return (sum(s[0] for s in shapes), out_h, out_w), tuple(map(max, zip(*rfs)))
+        return ((sum(s[0] for s in shapes), out_h, out_w), tuple(map(max, zip(*rfs))),
+                sum(macs))
     if isinstance(node, Residual):
-        _, body = _walk(node.body, shape, rf, acc)
-        return shape, tuple(map(max, body, rf))
+        _, body, macs = _walk(node.body, shape, rf)
+        return shape, tuple(map(max, body, rf)), macs
     if isinstance(node, ImagePool):
-        (c, ph, pw), rf = _walk(node.body, (c, 1, 1), _grow(rf, h, w, h, w), acc)
-        return (c, h, w), _grow(rf, 2, 2, Fraction(ph, h), Fraction(pw, w))
+        (c, ph, pw), rf, macs = _walk(node.body, (c, 1, 1), _grow(rf, h, w, h, w))
+        return (c, h, w), _grow(rf, 2, 2, Fraction(ph, h), Fraction(pw, w)), macs
 
-    acc.params += _learned_params(node)
     if isinstance(node, (ConvStep, DeconvStep)) and c != node.in_ch:
         raise ShapeError(f"{node.name}: expects {node.in_ch} input channels, got {c}")
     if isinstance(node, ConvStep):
@@ -146,34 +135,31 @@ def _walk(node, shape, rf: tuple, acc: _Acc):
         ekw = effective_kernel(node.kw, node.dilation)
         oh = _conv_out(h, ekh, node.stride, node.pad_h, node.name)
         ow = _conv_out(w, ekw, node.stride, node.pad_w, node.name)
-        acc.macs += node.kh * node.kw * node.in_ch * node.out_ch * oh * ow
-        if node.dilation > 1:
-            acc.note_dilated(max(ekh, ekw))
-        return (node.out_ch, oh, ow), _grow(rf, ekh, ekw, node.stride, node.stride)
+        macs = node.kh * node.kw * node.in_ch * node.out_ch * oh * ow
+        return (node.out_ch, oh, ow), _grow(rf, ekh, ekw, node.stride, node.stride), macs
     if isinstance(node, DeconvStep):
         oh = (h - 1) * node.stride + node.k
         ow = (w - 1) * node.stride + node.k
-        acc.macs += node.k * node.k * node.in_ch * node.out_ch * h * w
+        macs = node.k * node.k * node.in_ch * node.out_ch * h * w
         jump = Fraction(1, node.stride)
-        return (node.out_ch, oh, ow), _grow(rf, node.k, node.k, jump, jump)
+        return (node.out_ch, oh, ow), _grow(rf, node.k, node.k, jump, jump), macs
     if isinstance(node, (BnStep, AffineStep)):
-        acc.macs += node.channels * h * w
-        return shape, rf
+        return shape, rf, node.channels * h * w
     if isinstance(node, ReluStep):
-        return shape, rf
+        return shape, rf, 0
     if isinstance(node, MaxPoolStep):
         _check_stride(h, w, node.stride, "maxpool")
         oh = _conv_out(h, node.k, node.stride, node.pad, "maxpool")
         ow = _conv_out(w, node.k, node.stride, node.pad, "maxpool")
-        return (c, oh, ow), _grow(rf, node.k, node.k, node.stride, node.stride)
+        return (c, oh, ow), _grow(rf, node.k, node.k, node.stride, node.stride), 0
     if isinstance(node, AvgPoolStep):
         _check_stride(h, w, node.stride, "avgpool")
         oh = _conv_out(h, node.k, node.stride, 0, "avgpool")
         ow = _conv_out(w, node.k, node.stride, 0, "avgpool")
-        return (c, oh, ow), _grow(rf, node.k, node.k, node.stride, node.stride)
+        return (c, oh, ow), _grow(rf, node.k, node.k, node.stride, node.stride), 0
     if isinstance(node, UpsampleStep):
         jump = Fraction(1, node.factor)
-        return (c, h * node.factor, w * node.factor), _grow(rf, 2, 2, jump, jump)
+        return (c, h * node.factor, w * node.factor), _grow(rf, 2, 2, jump, jump), 0
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -193,33 +179,23 @@ def _analyze(net: NetworkSpec, input_shape: tuple) -> AnalysisReport:
     shape = input_shape
     rf = (Fraction(1),) * 4
     reports = []
-    total_params = 0
-    total_macs = 0
     for layer in net.layers:
-        acc = _Acc()
         try:
-            shape, rf = _walk(expand_layer(layer), shape, rf, acc)
+            shape, rf, macs = _walk(expand_layer(layer), shape, rf)
         except ShapeError as exc:
             raise ShapeError(f"layer {layer.name!r}: {exc}") from None
-        total_params += acc.params
-        total_macs += acc.macs
-        reports.append(
-            LayerReport(
-                name=layer.name,
-                out_shape=shape,
-                params=acc.params,
-                multiply_adds=acc.macs,
-                rf_h=_num(rf[0]),
-                rf_w=_num(rf[1]),
-                effective_kernel=acc.eff_kernel,
-            )
-        )
+        entries = _layer_params(layer)
+        dilated = [effective_kernel(max(step.kh, step.kw), step.dilation)
+                   for step, _, _ in entries if isinstance(step, ConvStep) and step.dilation > 1]
+        reports.append(LayerReport(
+            name=layer.name, out_shape=shape, params=_learned(entries), multiply_adds=macs,
+            rf_h=_num(rf[0]), rf_w=_num(rf[1]), effective_kernel=max(dilated, default=None)))
     return AnalysisReport(
         network=net.name,
         input_shape=input_shape,
         layers=tuple(reports),
-        total_params=total_params,
-        total_multiply_adds=total_macs,
+        total_params=sum(l.params for l in reports),
+        total_multiply_adds=sum(l.multiply_adds for l in reports),
     )
 
 
@@ -235,11 +211,7 @@ def trace_shapes(net: NetworkSpec, input_shape: tuple = (3, 512, 1024)) -> list:
 
 def count_params(net: NetworkSpec) -> int:
     """Total learned parameters (BN running statistics excluded)."""
-    return sum(
-        _learned_params(prim)
-        for layer in net.layers
-        for prim in iter_prims(expand_layer(layer))
-    )
+    return _learned(_param_table(net))
 
 
 def count_multiply_adds(net: NetworkSpec, input_shape: tuple = (3, 512, 1024)) -> int:

@@ -140,6 +140,10 @@ def cmd_infer(args) -> int:
         raise ValueError(f"a P5 label map holds at most 256 classes, got {net.classes}")
     store = runtime.load_weights(args.weights)
     image = imageio.read_ppm(Path(args.image).read_bytes())
+    layers = analyzer.analyze(net, image.shape[1:]).layers
+    channels = layers[-1].out_shape[0] if layers else image.c
+    if channels != net.classes:
+        raise ValueError(f"network outputs {channels} channels for {net.classes} classes")
     if args.color:
         if args.palette:
             palette = imageio.load_palette(Path(args.palette).read_text(encoding="utf-8"))

@@ -121,8 +121,10 @@ def write_pgm(labels: LabelMap) -> bytes:
 
 
 def _encode(magic: bytes, pixels: np.ndarray) -> bytes:
+    """The header, then the pixels row-major, in one copy."""
     h, w = pixels.shape[:2]
-    return magic + f"\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
+    header = magic + f"\n{w} {h}\n255\n".encode("ascii")
+    return b"".join((header, np.ascontiguousarray(pixels)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from .blocks import (
     Node,
     ReluStep,
     UpsampleStep,
+    iter_prims,
+    param_shapes,
 )
 
 __all__ = [
@@ -591,6 +593,21 @@ def expand_layer(layer: LayerSpec) -> Node:
 def _lowered(layer: LayerSpec) -> Node:
     node = _unfolded_tree(layer)
     return blocks.fold_bn(node) if layer.folded else node
+
+
+@functools.lru_cache(maxsize=256)
+def _param_table(net: NetworkSpec) -> tuple:
+    """``(step, name, shape)`` of every weight the network reads, in store
+    order; computed once per network from its layers' entries, which
+    networks that share a layer (as ``infer_image``'s trunk does) share."""
+    return tuple(entry for layer in net.layers for entry in _layer_params(layer))
+
+
+@functools.lru_cache(maxsize=1024)
+def _layer_params(layer: LayerSpec) -> tuple:
+    return tuple((prim, f"{prim.name}.{suffix}", shape)
+                 for prim in iter_prims(_lowered(layer))
+                 for suffix, shape in param_shapes(prim))
 
 
 def _unfolded_tree(layer: LayerSpec) -> Node:

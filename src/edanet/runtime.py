@@ -35,11 +35,9 @@ from .blocks import (
     Residual,
     UpsampleStep,
     fold_bn,
-    iter_prims,
-    param_shapes,
 )
 from .analyzer import analyze
-from .netdef import LayerSpec, NetworkSpec, _lowered, expand_layer, fold_layer
+from .netdef import NetworkSpec, _lowered, _param_table, expand_layer, fold_layer
 from .tensorops import (
     BN_EPS,
     BnParams,
@@ -211,21 +209,6 @@ def _draw_uniform(tensor_name: str, seed: int, shape: tuple, bound: float) -> np
         vk *= bound
         flat[lo : lo + k] = vk
     return out
-
-
-@functools.lru_cache(maxsize=256)
-def _param_table(net: NetworkSpec) -> tuple:
-    """``(step, name, shape)`` of every weight the network reads, in store
-    order; computed once per network from its layers' entries, which
-    networks that share a layer (as ``infer_image``'s trunk does) share."""
-    return tuple(entry for layer in net.layers for entry in _layer_params(layer))
-
-
-@functools.lru_cache(maxsize=1024)
-def _layer_params(layer: LayerSpec) -> tuple:
-    return tuple((prim, f"{prim.name}.{suffix}", shape)
-                 for prim in iter_prims(_lowered(layer))
-                 for suffix, shape in param_shapes(prim))
 
 
 def parameter_names(net: NetworkSpec) -> list:

@@ -312,6 +312,23 @@ class TestExitCodes:
         assert "palette has 2 entries for 19 classes" in capsys.readouterr().err
         assert not seg.exists() and not color.exists()
 
+    @pytest.mark.parametrize("out, color, code", [
+        (30, False, 4), (30, True, 4), (19, False, 0), (19, True, 0),
+    ], ids=["30_plain", "30_color", "19_plain", "19_color"])
+    def test_output_channels_must_equal_classes(self, workdir, capsys, out, color, code):
+        """A network whose last layer's channels differ from its classes
+        would write labels past the class count: it fails before any output."""
+        net, w = workdir / "net.nspec", workdir / "w.edaw"
+        net.write_text(f"net name=x classes=19\nconv name=c in=3 out={out} kh=1 kw=1 bn=0 act=0\n")
+        run("init", "--net", net, "--seed", "2", "--out", w)
+        seg, ppm = workdir / "seg.pgm", workdir / "seg.ppm"
+        argv = ["--color", ppm] if color else []
+        assert run("infer", "--net", net, "--weights", w, "--image", workdir / "in.ppm",
+                   "--out", seg, "--fold", *argv) == code
+        if code:
+            assert "network outputs 30 channels for 19 classes" in capsys.readouterr().err
+        assert seg.exists() == (code == 0) and ppm.exists() == (code == 0 and color)
+
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
     def test_bad_thread_count_is_usage_error(self, workdir, capsys, threads):
         assert run("--threads", threads, "build", "--variant", "shallow",

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from edanet import netdef, runtime
+from edanet import netdef, runtime, tensorops
 from edanet.cli import main
 
 # variant -> sha256 of (init --seed 42 .edaw, fold .edaw under random BN
@@ -113,3 +113,40 @@ def test_analyze_table_is_byte_identical(variant, tmp_path):
     assert main(["analyze", "--net", str(nspec), "--format", "table",
                  "--out", str(table)]) == 0
     assert _sha(table) == GOLDEN_TABLE[variant]
+
+
+# sha256 of every variant's forward logits, then its infer_image labels,
+# unfolded then folded (test_forward_and_labels_digest); float32 sums, and
+# so these bytes, hold for one numpy and BLAS build
+DIGEST = "b3d6043376db1f8fb71674937a2257bed50e396da10ec9bfed04cfc94d14f67e"
+DIGEST_BUILD = ("2.4.6", "0.3.31.188.0")  # numpy, its bundled scipy-openblas
+
+
+@pytest.mark.skipif(
+    np.__version__ != DIGEST_BUILD[0]
+    or np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"] != DIGEST_BUILD[1],
+    reason=f"the digest is pinned for numpy {DIGEST_BUILD[0]} with scipy-openblas {DIGEST_BUILD[1]}")
+def test_forward_and_labels_digest():
+    """Seed-7 weights with seeded random BN tensors, on a 64x128 image at
+    two BLAS threads; gamma adds 1 in float32."""
+    tensorops.set_num_threads(2)
+    image = np.random.default_rng(0).uniform(0, 1, (1, 3, 64, 128)).astype(np.float32)
+    x = tensorops.Tensor(image)
+    digest = hashlib.sha256()
+    for variant in netdef.VARIANTS:
+        net = netdef.build_variant(variant, classes=19)
+        store = runtime.init_weights(net, 7)
+        rng = np.random.default_rng(3)
+        for name in store.names():
+            n = len(store[name])
+            if name.endswith(".gamma"):
+                store[name] = rng.uniform(-1, 1, n).astype(np.float32) + np.float32(1)
+            elif name.endswith((".beta", ".mean")):
+                store[name] = rng.uniform(-1, 1, n)
+            elif name.endswith(".var"):
+                store[name] = rng.uniform(0.5, 2, n)
+        folded = runtime.fold_batch_norm(net, store)
+        for model, weights in ((net, store), (folded.net, folded.weights)):
+            digest.update(runtime.forward(model, weights, x).data.tobytes())
+            digest.update(runtime.infer_image(model, weights, x).tobytes())
+    assert digest.hexdigest() == DIGEST

@@ -164,6 +164,17 @@ class TestColorize:
             colorize(np.full((1, 1), 5, np.int32), default_palette(3))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: write_pgm(np.zeros((1, 2, 2), np.int32)), "must be 2-D"),
+    (lambda: load_palette("# only a comment\n\n"), "empty palette"),
+    (lambda: colorize(np.zeros((2, 2), np.int32), np.zeros((3, 4), np.uint8)),
+     r"must be \(C, 3\)"),
+], ids=["pgm_3d_labels", "palette_comments_only", "colorize_palette_3x4"])
+def test_invalid_arguments_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestWritePpm:
     def test_requires_three_channels(self):
         with pytest.raises(ValueError):

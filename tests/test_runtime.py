@@ -651,6 +651,15 @@ class TestFoldBatchNorm:
         with pytest.raises(FoldError, match="preceding"):
             fold_bn(Chain([BnStep("x.bn", 2)]))
 
+    @pytest.mark.parametrize("branch, match", [
+        (Chain([blocks.MaxPoolStep(1, 1)]), "no convolution branch"),
+        (Chain([blocks.ConvStep("x.c1", 2, 2, 1, 1), blocks.ConvStep("x.c2", 2, 2, 1, 1)]),
+         "unsupported branch structure"),
+    ], ids=["no_conv_branch", "two_convs_in_branch"])
+    def test_bn_after_unfoldable_parallel_rejected(self, branch, match):
+        with pytest.raises(FoldError, match=match):
+            fold_bn(Chain([blocks.Parallel([branch]), BnStep("x.bn", 2)]))
+
     @pytest.mark.parametrize("name, value, error, match", [
         ("orphan.w", np.zeros(3), WeightError, "never consumed"),
         ("m1_1.conv1x1.x", np.zeros(3), WeightError, "never consumed"),
@@ -680,6 +689,13 @@ class TestFoldBatchNorm:
 
 
 class TestWeightFile:
+    @pytest.mark.parametrize("other", [3, WeightStore({"b": np.ones(1, np.float32)})],
+                             ids=["not_a_store", "other_names"])
+    def test_store_differs(self, other):
+        store = WeightStore({"a": np.ones(1, np.float32)})
+        assert (store == other) is False
+        assert store != other
+
     def test_round_trip_bytes(self, tmp_path):
         net = build_variant("shallow", classes=19)
         store = init_weights(net, seed=11)

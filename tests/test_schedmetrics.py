@@ -61,6 +61,11 @@ class TestPolyLr:
         with pytest.raises(ValueError):
             poly_lr(1e-3, -1, 100)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_not_positive(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            poly_lr(1e-3, 0, max_iter)
+
 
 class TestMeanIou:
     def test_perfect_prediction(self):

@@ -24,6 +24,7 @@ from edanet.tensorops import (
     avg_pool2d,
     batch_norm,
     bilinear_resize,
+    channel_affine,
     concat_channels,
     conv2d,
     global_avg_pool,
@@ -157,6 +158,40 @@ class TestTensorType:
     def test_shape_properties(self):
         x = Tensor.zeros(2, 3, 4, 5)
         assert (x.n, x.c, x.h, x.w) == (2, 3, 4, 5)
+
+
+def zeros(*shape):
+    return np.zeros(shape, np.float32)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Tensor(zeros(1, 0, 2, 2)), ShapeError, "dimensions must be >= 1"),
+    (lambda: Kernel(zeros(1, 1, 3)), ShapeError, "must be 4-D"),
+    (lambda: Kernel(zeros(1, 0, 3, 3)), ShapeError, "dimensions must be >= 1"),
+    (lambda: Kernel(zeros(2, 1, 1, 1), zeros(3)), ShapeError, "bias length"),
+    (lambda: conv2d(Tensor.zeros(1, 1, 4, 4), Kernel(zeros(1, 1, 1, 1)), stride=0),
+     ValueError, "stride and dilation"),
+    (lambda: conv2d(Tensor.zeros(1, 1, 4, 4), Kernel(zeros(1, 1, 1, 1)), dilation=0),
+     ValueError, "stride and dilation"),
+    (lambda: conv2d(Tensor.zeros(1, 1, 4, 4), Kernel(zeros(1, 1, 1, 1)), pad_h=-1),
+     ValueError, "padding"),
+    (lambda: transposed_conv2d(Tensor.zeros(1, 1, 2, 2), Kernel(zeros(1, 1, 2, 2)), 0),
+     ValueError, "stride"),
+    (lambda: zero_insert_kernel(Kernel(zeros(1, 1, 3, 3)), 0), ValueError, "dilation rate"),
+    (lambda: max_pool2d(Tensor.zeros(1, 1, 4, 4), 0, 1), ValueError, "pooling configuration"),
+    (lambda: max_pool2d(Tensor.zeros(1, 1, 2, 2), 3, 1), ShapeError, "non-positive"),
+    (lambda: avg_pool2d(Tensor.zeros(1, 1, 4, 4), 0, 1), ValueError, "pooling configuration"),
+    (lambda: avg_pool2d(Tensor.zeros(1, 1, 2, 2), 3, 1), ShapeError, "non-positive"),
+    (lambda: channel_affine(Tensor.zeros(1, 2, 2, 2), zeros(2), zeros(3)),
+     ShapeError, "affine vectors"),
+    (lambda: bilinear_resize(Tensor.zeros(1, 1, 2, 2), 0, 2), ValueError, "output dims"),
+], ids=["tensor_zero_dim", "kernel_3d", "kernel_zero_dim", "kernel_bias_length",
+        "conv_stride_0", "conv_dilation_0", "conv_negative_pad", "deconv_stride_0",
+        "zero_insert_rate_0", "max_pool_k_0", "max_pool_window_too_large", "avg_pool_k_0",
+        "avg_pool_window_too_large", "affine_mismatched_vectors", "resize_to_height_0"])
+def test_invalid_arguments_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestConv2d:
